@@ -13,12 +13,10 @@
 package swift_test
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
 	"swift/internal/bench"
-	"swift/internal/parity"
 	"swift/internal/simswift"
 	"swift/internal/stripe"
 	"swift/internal/wire"
@@ -96,7 +94,7 @@ func BenchmarkAblationTCPvsUDP(b *testing.B) {
 
 // BenchmarkAblationParity measures the computed-copy redundancy cost.
 func BenchmarkAblationParity(b *testing.B) {
-	reportSwift(b, bench.Options{Agents: 4, Parity: true})
+	reportSwift(b, bench.Options{Agents: 4, ParityShards: 1})
 }
 
 // BenchmarkAblationStripeUnit4K measures a small striping unit (the
@@ -265,19 +263,8 @@ func BenchmarkWireUnmarshal(b *testing.B) {
 	}
 }
 
-func BenchmarkParityXOR(b *testing.B) {
-	dst := make([]byte, 32<<10)
-	src := make([]byte, 32<<10)
-	rand.New(rand.NewSource(1)).Read(src)
-	b.SetBytes(int64(len(dst)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		parity.XOR(dst, src)
-	}
-}
-
 func BenchmarkStripeRuns(b *testing.B) {
-	l := stripe.Layout{Unit: 32 << 10, Agents: 8, Parity: true}
+	l := stripe.Layout{Unit: 32 << 10, Agents: 8, ParityUnits: 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		runs := l.Runs(12345, 4<<20)
@@ -288,7 +275,7 @@ func BenchmarkStripeRuns(b *testing.B) {
 }
 
 func BenchmarkStripeLocate(b *testing.B) {
-	l := stripe.Layout{Unit: 32 << 10, Agents: 8, Parity: true}
+	l := stripe.Layout{Unit: 32 << 10, Agents: 8, ParityUnits: 1}
 	var sink int64
 	for i := 0; i < b.N; i++ {
 		a, off := l.Locate(int64(i) * 7919)

@@ -85,10 +85,10 @@ func TestChaosSoak(t *testing.T) {
 
 	clientHost := n.MustHost("client", memnet.HostConfig{}, seg)
 	fs, err := swift.Dial(swift.Config{
-		Host:       clientHost,
-		Agents:     addrs,
-		StripeUnit: 4096,
-		Parity:     true,
+		Host:         clientHost,
+		Agents:       addrs,
+		StripeUnit:   4096,
+		ParityShards: 1,
 		// Small no-progress budget (20 × 15ms ≈ 300ms) so failure
 		// attribution outpaces the fault schedule, and a fast monitor so
 		// re-admission fits inside the recovery gaps.
@@ -1038,7 +1038,7 @@ func chaosTraceSpans(t *testing.T) {
 		t.Fatalf("drill8: broker: %v", err)
 	}
 	// 2.5 MB/s over 1 MB/s agents needs 3 data agents; +1 XOR parity = 4.
-	rec, err := broker.OpenSession(swift.MediatorRequirements{Rate: 2.5e6, Redundancy: true})
+	rec, err := broker.OpenSession(swift.MediatorRequirements{Rate: 2.5e6, ParityShards: 1})
 	if err != nil {
 		t.Fatalf("drill8: open session: %v", err)
 	}
@@ -1332,7 +1332,6 @@ func chaosOverload(t *testing.T) {
 		Host:           n.MustHost("ov-client", memnet.HostConfig{}, seg),
 		Agents:         addrs,
 		StripeUnit:     4096,
-		Parity:         true,
 		ParityShards:   2,
 		RetryTimeout:   15 * time.Millisecond,
 		MaxRetries:     20,
@@ -1713,6 +1712,11 @@ func chaosCacheCoherence(t *testing.T) {
 			t.Fatalf("drill10 cycle %d: sync: %v", i, err)
 		}
 		writer.CoherenceSync()
+		// The writer and reader sessions are homed on different
+		// replicas, and a declared write's generation bump reaches the
+		// reader's home over the asynchronous mirror channel. Wait for
+		// that delivery before the reader's round.
+		fed.WaitMirrors()
 		reader.CoherenceSync()
 		// Two reads per cycle: the first refetches past the invalidation,
 		// the second must be served from the refilled cache — both exact.

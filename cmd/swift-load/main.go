@@ -56,6 +56,10 @@ func main() {
 	traceRate := flag.Float64("trace", 0, "distributed-tracing head-sample rate in [0,1] (0 = off); slowest op traces print after the run")
 	traceTop := flag.Int("trace-top", 3, "how many of the slowest kept op traces to render after the run (with -trace)")
 	flag.Parse()
+	parityShards := 0
+	if *parity {
+		parityShards = 1 // -parity is the single computed copy
+	}
 
 	if *chaos && !*parity {
 		fmt.Fprintln(os.Stderr, "swift-load: note: -chaos without -parity will surface errors (no redundancy to mask faults)")
@@ -102,7 +106,7 @@ func main() {
 	copts := bench.Options{
 		Agents:         *agents,
 		Segments:       *segments,
-		Parity:         *parity,
+		ParityShards:   parityShards,
 		Scale:          *scale,
 		Seed:           *seed,
 		CacheSize:      cacheBytes,

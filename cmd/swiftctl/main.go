@@ -112,6 +112,9 @@ func main() {
 	writeBehind := flag.Int64("write-behind", 0, "write-behind dirty budget in bytes (0 = write-through)")
 	flag.Usage = usage
 	flag.Parse()
+	if *parity && *parityShards == 0 {
+		*parityShards = 1 // -parity alone is the single computed copy
+	}
 
 	if flag.NArg() == 0 {
 		usage()
@@ -163,7 +166,6 @@ func main() {
 		Host:         host,
 		Agents:       addrs,
 		StripeUnit:   *unit,
-		Parity:       *parity,
 		ParityShards: *parityShards,
 		SyncWrites:   *syncw,
 		TraceRate:    *traceRate,
@@ -213,7 +215,6 @@ func main() {
 		}
 		rec, err := broker.OpenSession(swift.MediatorRequirements{
 			Rate:         sessRate,
-			Redundancy:   *parity,
 			ParityShards: *parityShards,
 		})
 		if err != nil {
@@ -270,7 +271,6 @@ func main() {
 		defer med.Close()
 		plan, err := med.OpenSession(mediator.Requirements{
 			Rate:         *rate * 1024,
-			Redundancy:   *parity,
 			ParityShards: *parityShards,
 		})
 		if err != nil {
@@ -278,7 +278,6 @@ func main() {
 		}
 		cfg.Agents = plan.Addrs
 		cfg.StripeUnit = plan.Unit
-		cfg.Parity = plan.Parity
 		cfg.ParityShards = plan.ParityShards
 		fmt.Fprintf(os.Stderr, "swiftctl: plan: %d agents, unit %d, parity shards %d\n",
 			len(plan.Addrs), plan.Unit, plan.ParityShards)
@@ -519,8 +518,7 @@ func cmdStat(fs *swift.FS, args []string) error {
 	// Per-file redundancy: what the fragments actually occupy across the
 	// agent set, parity units included.
 	stored := stripe.Layout{
-		Unit: li.Unit, Agents: li.Agents,
-		Parity: true, ParityUnits: li.ParityShards,
+		Unit: li.Unit, Agents: li.Agents, ParityUnits: li.ParityShards,
 	}.FragmentSizes(size)
 	var total int64
 	for _, s := range stored {

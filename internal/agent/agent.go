@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -172,7 +173,11 @@ func New(host transport.Host, st store.Store, cfg Config) (*Agent, error) {
 		cfg:      cfg,
 		ctl:      ctl,
 		sessions: make(map[uint64]*session),
-		tel:      newAgentTelemetry(cfg.Obs),
+		// Handles start at a random point so they do not repeat across
+		// restarts: a client holding a handle from a previous process
+		// can then tell it apart from a new session on a reused port.
+		nextH: rand.Uint64() >> 1,
+		tel:   newAgentTelemetry(cfg.Obs),
 	}
 	a.readDelay.Store(int64(cfg.ReadDelay))
 	if cfg.Verbose {

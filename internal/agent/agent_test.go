@@ -119,6 +119,18 @@ func TestOpenCreatesPrivatePort(t *testing.T) {
 	if addr2 == addr || handle2 == handle {
 		t.Fatal("sessions not distinct")
 	}
+	// A restarted agent does not reissue a handle of its previous
+	// process, so a client's stale handle cannot pass for a new session.
+	r.agent.Close()
+	a, err := New(r.agent.host, r.st, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	r.agent = a
+	if _, handle3 := r.open("obj", wire.FCreate); handle3 == handle || handle3 == handle2 {
+		t.Fatalf("restarted agent reissued handle %d", handle3)
+	}
 }
 
 func TestOpenMissingWithoutCreate(t *testing.T) {

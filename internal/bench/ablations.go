@@ -207,15 +207,15 @@ func AblationParity(rc RunConfig) (Sweep, error) {
 		Name:  "Ablation: computed-copy redundancy",
 		Title: "read/write rate with and without rotating parity (4 agents)",
 	}
-	for _, parity := range []bool{false, true} {
+	for _, k := range []int{0, 1} {
 		rd, wr, err := measureCluster(Options{
-			Agents: 4, Parity: parity, Scale: 6,
+			Agents: 4, ParityShards: k, Scale: 6,
 		}, rc.SizesMB[0], rc.Samples, rc.Seed)
 		if err != nil {
 			return Sweep{}, err
 		}
 		label := "no parity"
-		if parity {
+		if k > 0 {
 			label = "parity"
 		}
 		s.Labels = append(s.Labels, label)
@@ -294,8 +294,8 @@ func AblationSmallObjects(rc RunConfig) ([]SmallObjectResult, error) {
 	var out []SmallObjectResult
 	for _, size := range []int64{1 << 10, 4 << 10, 16 << 10} {
 		res := SmallObjectResult{Size: size}
-		for _, parity := range []bool{false, true} {
-			opts := Options{Agents: 4, Parity: parity, Unit: 4 << 10, Scale: 6, Seed: rc.Seed}
+		for _, k := range []int{0, 1} {
+			opts := Options{Agents: 4, ParityShards: k, Unit: 4 << 10, Scale: 6, Seed: rc.Seed}
 			cl, err := NewSwiftCluster(opts)
 			if err != nil {
 				return nil, err
@@ -326,7 +326,7 @@ func AblationSmallObjects(rc RunConfig) ([]SmallObjectResult, error) {
 			}
 			f.Close()
 			cl.Close()
-			if parity {
+			if k > 0 {
 				res.ParityWrite = wlat / time.Duration(n)
 			} else {
 				res.WriteLatency = wlat / time.Duration(n)

@@ -26,8 +26,9 @@ type Options struct {
 	Segments int
 	// StreamClient swaps in the TCP-prototype client profile.
 	StreamClient bool
-	// Parity enables computed-copy redundancy.
-	Parity bool
+	// ParityShards is the number of computed-copy parity units per
+	// stripe row (0 disables redundancy).
+	ParityShards int
 	// SyncAgentWrites forces the agents to write through to disk.
 	SyncAgentWrites bool
 	// RequestBytes overrides the per-agent burst size (0 = default).
@@ -181,7 +182,7 @@ func NewSwiftCluster(opts Options) (*SwiftCluster, error) {
 		Host:         clientHost,
 		Agents:       addrs,
 		Unit:         unit,
-		Parity:       opts.Parity,
+		ParityShards: opts.ParityShards,
 		RequestBytes: reqBytes,
 		WriteWindow:  2,
 		RetryTimeout: scaled(400*time.Millisecond, opts.Scale),
@@ -204,7 +205,7 @@ func NewSwiftCluster(opts Options) (*SwiftCluster, error) {
 	if opts.HealthInterval > 0 {
 		err = cl.StartMonitor(core.MonitorConfig{
 			Interval: scaled(opts.HealthInterval, opts.Scale),
-			Rebuild:  opts.HealthRebuild && opts.Parity,
+			Rebuild:  opts.HealthRebuild && opts.ParityShards > 0,
 		})
 		if err != nil {
 			c.Close()

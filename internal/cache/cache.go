@@ -29,6 +29,10 @@ import (
 	"swift/internal/obs"
 )
 
+// ReadAheadStreams caps concurrently prefetching sequential streams: the
+// caller runs this many background read-ahead workers.
+const ReadAheadStreams = 2
+
 // Config sizes one client's cache.
 type Config struct {
 	// Capacity bounds resident bytes, clean plus dirty (floored at one
@@ -40,10 +44,6 @@ type Config struct {
 	// ReadAhead is the per-stream prefetch window in bytes (0 disables
 	// stream detection and prefetch suggestions).
 	ReadAhead int64
-	// Streams caps concurrently prefetching sequential streams
-	// (default 2). The limit is enforced by the caller's prefetch
-	// workers; the cache only sizes its suggestion bookkeeping with it.
-	Streams int
 	// WriteBehindMax is the dirty-byte budget. 0 means write-through:
 	// the file layer must not absorb dirty data at all.
 	WriteBehindMax int64
@@ -55,9 +55,6 @@ func (c *Config) fill() {
 	}
 	if c.Capacity < c.BlockSize {
 		c.Capacity = c.BlockSize
-	}
-	if c.Streams <= 0 {
-		c.Streams = 2
 	}
 	// Leave at least one block of clean headroom so demand fetches can
 	// always land even when write-behind is saturated.
@@ -148,9 +145,6 @@ func (c *Cache) BlockSize() int64 { return c.cfg.BlockSize }
 
 // ReadAhead reports the per-stream prefetch window.
 func (c *Cache) ReadAhead() int64 { return c.cfg.ReadAhead }
-
-// Streams reports the concurrent-prefetch-stream cap.
-func (c *Cache) Streams() int { return c.cfg.Streams }
 
 // WriteBehind reports whether dirty absorption is enabled at all.
 func (c *Cache) WriteBehind() bool { return c.cfg.WriteBehindMax > 0 }

@@ -57,14 +57,12 @@ func (c *Client) initCache() {
 	c.cache = cache.New(cache.Config{
 		Capacity:       capBytes,
 		ReadAhead:      cfg.ReadAhead,
-		Streams:        cfg.ReadAheadStreams,
 		WriteBehindMax: cfg.WriteBehindMax,
 	}, c.tel.reg)
 	if cfg.ReadAhead > 0 {
-		workers := c.cache.Streams()
-		c.prefetchQ = make(chan prefetchReq, 4*workers)
+		c.prefetchQ = make(chan prefetchReq, 4*cache.ReadAheadStreams)
 		c.prefetchStop = make(chan struct{})
-		for i := 0; i < workers; i++ {
+		for i := 0; i < cache.ReadAheadStreams; i++ {
 			c.prefetchWG.Add(1)
 			go c.prefetchLoop()
 		}

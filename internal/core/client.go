@@ -50,12 +50,11 @@ type Config struct {
 	// storage mediator overrides it per session when rate requirements
 	// are declared.
 	Unit int64
-	// Parity enables computed-copy redundancy (requires >= 3 agents).
-	Parity bool
-	// ParityShards is the number of parity units per stripe row (k).
-	// Zero means 1 when Parity is set (the legacy rotating-XOR layout);
-	// values >= 2 select Reed–Solomon coding and tolerate up to k
-	// simultaneous agent failures. Setting ParityShards implies Parity.
+	// ParityShards is the number of computed-copy parity units per
+	// stripe row (k); zero disables redundancy. One is the paper's
+	// rotating XOR parity (requires >= 3 agents); values >= 2 select
+	// Reed–Solomon coding and tolerate up to k simultaneous agent
+	// failures (requires >= k+2 agents).
 	ParityShards int
 	// RequestBytes is the largest read or write burst requested from
 	// one agent at a time (default 57344 = 42 full packets).
@@ -65,12 +64,9 @@ type Config struct {
 	WriteWindow int
 	// RetryTimeout is the base wait for progress on a burst before
 	// resubmitting (default 250ms). Consecutive silent timeouts back off
-	// exponentially (with jitter) up to MaxRetryTimeout, so a dead agent
+	// exponentially (with jitter) up to 8×RetryTimeout, so a dead agent
 	// is not bombarded on the shared medium.
 	RetryTimeout time.Duration
-	// MaxRetryTimeout caps the per-attempt backoff (default
-	// 8×RetryTimeout).
-	MaxRetryTimeout time.Duration
 	// MaxRetries sizes the retransmission budget: an operation gives up
 	// on an agent once roughly MaxRetries×RetryTimeout elapses with no
 	// progress (default 40). Progress refreshes the budget.
@@ -82,9 +78,6 @@ type Config struct {
 	// worker while the application consumes the current one; random
 	// reads bypass it. Setting ReadAhead enables the cache.
 	ReadAhead int64
-	// ReadAheadStreams caps concurrently prefetching sequential streams
-	// (default 2); each gets a background read-ahead worker.
-	ReadAheadStreams int
 	// CacheSize bounds the client block cache in bytes. Zero auto-sizes
 	// it when ReadAhead or WriteBehindMax enables the cache; negative
 	// disables caching outright. Setting CacheSize > 0 enables the
@@ -174,9 +167,6 @@ func (c *Config) fill() error {
 	if c.RetryTimeout == 0 {
 		c.RetryTimeout = 250 * time.Millisecond
 	}
-	if c.MaxRetryTimeout == 0 {
-		c.MaxRetryTimeout = 8 * c.RetryTimeout
-	}
 	if c.MaxRetries == 0 {
 		c.MaxRetries = 40
 	}
@@ -201,17 +191,6 @@ func (c *Config) fill() error {
 	if c.BreakerCooldown == 0 {
 		c.BreakerCooldown = 2 * time.Second
 	}
-	if c.ReadAheadStreams == 0 {
-		c.ReadAheadStreams = 2
-	}
-	// Normalize the redundancy knobs both ways: ParityShards implies
-	// Parity, and Parity alone means the legacy single parity unit. All
-	// boolean cfg.Parity checks in the engine stay valid for any k.
-	if c.ParityShards > 0 {
-		c.Parity = true
-	} else if c.Parity {
-		c.ParityShards = 1
-	}
 	return c.layout().Validate()
 }
 
@@ -228,7 +207,6 @@ func (c *Config) layout() stripe.Layout {
 	return stripe.Layout{
 		Unit:        c.Unit,
 		Agents:      len(c.Agents),
-		Parity:      c.Parity,
 		ParityUnits: c.ParityShards,
 	}
 }
@@ -295,14 +273,6 @@ type Metrics struct {
 	BreakerTrips  atomic.Int64 // per-agent circuit breakers tripped open
 }
 
-// Metrics returns a pointer to the client's live protocol counters.
-//
-// Deprecated: the atomics behind the pointer keep mutating, so there is no
-// coherent read across fields. Use MetricsSnapshot (a value copy) or
-// Stats (the full telemetry snapshot) instead. Retained as an alias for
-// existing callers.
-func (c *Client) Metrics() *Metrics { return &c.metrics }
-
 // Dial creates a client. It performs no network traffic; agents are
 // contacted when objects are opened.
 func Dial(cfg Config) (*Client, error) {
@@ -316,14 +286,14 @@ func Dial(cfg Config) (*Client, error) {
 	c := &Client{
 		cfg:      cfg,
 		layout:   cfg.layout(),
-		bo:       backoff.New(cfg.RetryTimeout, cfg.MaxRetryTimeout),
+		bo:       backoff.New(cfg.RetryTimeout, 8*cfg.RetryTimeout),
 		ctl:      ctl,
 		health:   make([]agentHealth, len(cfg.Agents)),
 		files:    make(map[*File]struct{}),
 		budget:   newTokenBucket(cfg.RetryBudgetCap, cfg.RetryBudgetRatio),
 		breakers: make([]breaker, len(cfg.Agents)),
 	}
-	if k := c.layout.ParityPerRow(); k > 0 {
+	if k := c.layout.ParityUnits; k > 0 {
 		c.codec, err = ec.New(c.layout.DataPerRow(), k)
 		if err != nil {
 			ctl.Close()
@@ -348,7 +318,7 @@ func (c *Client) Layout() stripe.Layout { return c.layout }
 
 // parityK returns the number of parity units per stripe row (0 without
 // parity) — the number of simultaneous agent failures the layout masks.
-func (c *Client) parityK() int { return c.layout.ParityPerRow() }
+func (c *Client) parityK() int { return c.layout.ParityUnits }
 
 // Scheme describes the redundancy scheme: "m+k" (data+parity units per
 // row) with parity enabled, "none" without.
@@ -499,7 +469,7 @@ func (c *Client) Open(name string, flags OpenFlags) (*File, error) {
 			}
 		}
 	}
-	if failed > 0 && (!c.cfg.Parity || failed > c.parityK()) {
+	if failed > c.parityK() {
 		closeAll()
 		for i, err := range errs {
 			if err != nil {
@@ -584,6 +554,19 @@ func (s *agentSession) close() {
 	if s.conn != nil {
 		s.conn.Close()
 	}
+}
+
+// sessionAlive reports whether s's handle still answers: a TSync on the
+// session's private port must come back from the same handle. Agents
+// start their handle numbering at a random point, so a session opened by
+// a restarted agent on a reused port cannot pass for the old one. A
+// silent or mismatched reply counts as dead.
+func (c *Client) sessionAlive(s *agentSession) bool {
+	reqID := c.nextReq()
+	reply, err := c.rpcAttempts(s.conn, s.dataAddr, &wire.Packet{
+		Header: wire.Header{Type: wire.TSync, ReqID: reqID, Handle: s.handle},
+	}, reqID, 4)
+	return err == nil && reply.Type == wire.TSyncReply && reply.Handle == s.handle
 }
 
 // openSession performs the open handshake with one agent, with

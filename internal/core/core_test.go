@@ -27,8 +27,7 @@ type cluster struct {
 
 type clusterOpts struct {
 	agents       int
-	parity       bool
-	parityShards int // number of parity units per row (implies parity when > 0)
+	parityShards int // number of parity units per row (0 = no parity)
 	unit         int64
 	loss         float64
 	syncW        bool
@@ -82,7 +81,6 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 		Host:         ch,
 		Agents:       addrs,
 		Unit:         o.unit,
-		Parity:       o.parity,
 		ParityShards: o.parityShards,
 		SyncWrites:   o.syncW,
 		WriteWindow:  o.window,

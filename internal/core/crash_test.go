@@ -64,7 +64,7 @@ func TestMidWriteCrashWithoutParity(t *testing.T) {
 // object reads back correctly (the crashed agent's units served from
 // parity), and the lifecycle has marked the crashed agent.
 func TestMidWriteCrashWithParity(t *testing.T) {
-	c := newCluster(t, clusterOpts{agents: 4, parity: true, unit: 2048})
+	c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, unit: 2048})
 	f, err := c.client.Open("obj", OpenFlags{Create: true})
 	if err != nil {
 		t.Fatal(err)

@@ -143,7 +143,7 @@ func TestParityUnitsAreConsistentK2(t *testing.T) {
 	f.WriteAt(data, 0)
 
 	l := c.client.Layout()
-	m, k := l.DataPerRow(), l.ParityPerRow()
+	m, k := l.DataPerRow(), l.ParityUnits
 	codec, err := ec.New(m, k)
 	if err != nil {
 		t.Fatal(err)

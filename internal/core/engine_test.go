@@ -15,8 +15,8 @@ func TestRandomOpsAgainstModel(t *testing.T) {
 	configs := []clusterOpts{
 		{agents: 1, unit: 512},
 		{agents: 3, unit: 1000},
-		{agents: 4, unit: 4096, parity: true},
-		{agents: 5, unit: 700, parity: true},
+		{agents: 4, unit: 4096, parityShards: 1},
+		{agents: 5, unit: 700, parityShards: 1},
 	}
 	for ci, opts := range configs {
 		opts := opts

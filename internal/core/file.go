@@ -242,7 +242,7 @@ func (f *File) readRange(dst []byte, off int64, allowFailover bool, sp *obs.Span
 				f.c.cfg.Logf("core: read repair of agent %d failed: %v", failed, rerr)
 			}
 		}
-		if failed < 0 || !f.c.cfg.Parity || !allowFailover {
+		if failed < 0 || f.c.parityK() == 0 || !allowFailover {
 			if corrupt {
 				// The agent is alive; only its media is bad. Do not
 				// feed the failure-domain lifecycle — surface the
@@ -307,7 +307,7 @@ func (f *File) readRangeOnce(dst []byte, off int64, sp *obs.Span) (failedAgent i
 		// A tripped circuit breaker diverts the agent's extents to the
 		// reconstruction path (only meaningful with parity: without it the
 		// agent is the sole holder of its units and must be tried anyway).
-		if s == nil || (f.c.cfg.Parity && !f.c.breakerAllow(i)) {
+		if s == nil || (f.c.parityK() > 0 && !f.c.breakerAllow(i)) {
 			if deadExts == nil {
 				deadExts = make([]extent.Set, len(f.sessions))
 			}
@@ -353,7 +353,7 @@ func (f *File) readRangeOnce(dst []byte, off int64, sp *obs.Span) (failedAgent i
 		return failedAgent, err
 	}
 	for _, r := range soft {
-		if errors.Is(r.err, ErrDeadline) || !f.c.cfg.Parity {
+		if errors.Is(r.err, ErrDeadline) || f.c.parityK() == 0 {
 			// The deadline is global to the operation (reconstruction
 			// cannot outrun it), and without parity there is nothing to
 			// reconstruct from: surface the signal unattributed.
@@ -382,7 +382,7 @@ func (f *File) readRangeOnce(dst []byte, off int64, sp *obs.Span) (failedAgent i
 		if deadExts[i].Len() == 0 {
 			continue
 		}
-		if !f.c.cfg.Parity {
+		if f.c.parityK() == 0 {
 			return -1, ErrAgentDown
 		}
 		ds := sp.StartChild("degraded_read", i)
@@ -493,7 +493,7 @@ func (f *File) readBurst(s *agentSession, lo, n int64, sink func(localOff int64,
 	}
 	f.c.metrics.ReadBursts.Add(1)
 	at.readBursts.Inc()
-	hedging := allowHedge && cfg.HedgeReads && cfg.Parity
+	hedging := allowHedge && cfg.HedgeReads && f.c.parityK() > 0
 	var hedgeAt time.Time
 	if hedging {
 		hedgeAt = start.Add(f.c.hedgeDelay(s.idx))
@@ -760,7 +760,7 @@ func (f *File) writeRange(src []byte, off int64, allowFailover bool, sp *obs.Spa
 				f.c.cfg.Logf("core: write repair of agent %d failed: %v", failed, rerr)
 			}
 		}
-		if failed < 0 || !f.c.cfg.Parity || !allowFailover {
+		if failed < 0 || f.c.parityK() == 0 || !allowFailover {
 			if corrupt {
 				f.noteUnrepairable(failed, err)
 				return err
@@ -799,7 +799,7 @@ func (f *File) writeRangeOnce(src []byte, off int64, sp *obs.Span) (failedAgent,
 	exts := f.c.layout.LocalExtents(off, n)
 
 	var pbufs map[int64][][]byte
-	if f.c.cfg.Parity {
+	if f.c.parityK() > 0 {
 		pbufs, err = f.computeParity(src, off, sp)
 		if err != nil {
 			return -1, 0, err
@@ -825,7 +825,7 @@ func (f *File) writeRangeOnce(src []byte, off int64, sp *obs.Span) (failedAgent,
 			continue
 		}
 		if s == nil {
-			if !f.c.cfg.Parity {
+			if f.c.parityK() == 0 {
 				return -1, 0, ErrAgentDown
 			}
 			continue // degraded: this agent's units are covered by parity
@@ -1272,23 +1272,34 @@ func (f *File) readmit(idx int, rebuild bool) error {
 	if idx < 0 || idx >= len(f.sessions) {
 		return nil
 	}
-	if old := f.sessions[idx]; old != nil {
-		// The agent may have died and restarted between probe rounds
-		// without this file ever touching it, leaving a session whose
-		// handle died with the old process. Handles are only valid for
-		// the process that issued them, so always negotiate afresh.
-		old.close()
-		f.sessions[idx] = nil
+	// The agent may have died and restarted between probe rounds without
+	// this file ever touching it, leaving a session whose handle died
+	// with the old process. Handles are only valid for the process that
+	// issued them, so always negotiate afresh.
+	old := f.sessions[idx]
+	f.sessions[idx] = nil
+	if old != nil {
+		defer old.close()
 	}
 	s, err := f.c.openSession(idx, f.c.cfg.Agents[idx], f.name, OpenFlags{Create: true}, obs.SpanContext{})
 	if err != nil {
 		return err
 	}
 	f.sessions[idx] = s
-	if rebuild && f.c.cfg.Parity {
+	if rebuild && f.c.parityK() > 0 {
 		if err := f.rebuildLocked(idx); err != nil {
-			f.sessions[idx] = nil
-			s.close()
+			// The rebuild stalls when another agent is out too. If the
+			// old handle still answers, the agent never restarted and
+			// this file never dropped it, so every write the file
+			// completed is in the fragment: keep it in service, or two
+			// agents out under one parity unit could never be rebuilt.
+			// The agent stays unhealthy and the next round retries.
+			// Otherwise the fragment may have come back empty or stale
+			// and must not serve reads.
+			if old == nil || !f.c.sessionAlive(old) {
+				f.sessions[idx] = nil
+				s.close()
+			}
 			return err
 		}
 	}
@@ -1313,5 +1324,5 @@ func (f *File) liveCount() int {
 // scheme tolerates: fewer than Agents-k live sessions means some rows
 // have more than k units unavailable, and no codec can cover that.
 func (f *File) quorumLost() bool {
-	return f.c.cfg.Parity && f.liveCount() < len(f.sessions)-f.c.parityK()
+	return f.c.parityK() > 0 && f.liveCount() < len(f.sessions)-f.c.parityK()
 }

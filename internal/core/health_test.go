@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"swift/internal/agent"
+	"swift/internal/store"
 )
 
 // restartAgent brings agent i back on its original host and store, as the
@@ -99,7 +100,7 @@ func TestProbeOnceDemotesSilentAgents(t *testing.T) {
 // parity — with no caller intervention. VerifyParity then proves the
 // rebuilt units are consistent with the degraded writes.
 func TestMonitorAutoReadmitWithRebuild(t *testing.T) {
-	c := newCluster(t, clusterOpts{agents: 4, parity: true, unit: 2048})
+	c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, unit: 2048})
 	f, err := c.client.Open("obj", OpenFlags{Create: true})
 	if err != nil {
 		t.Fatal(err)
@@ -165,6 +166,78 @@ func TestMonitorAutoReadmitWithRebuild(t *testing.T) {
 	}
 	if !bytes.Equal(out, data) {
 		t.Fatal("post-readmit read mismatch")
+	}
+}
+
+// TestReadmitKeepsLiveSessionWhenRebuildStalls: two agents out at once
+// under one parity unit, but only one of them dropped by the data path.
+// Agent 3 crashed and missed a degraded write, so agent 2's rebuild
+// cannot run while agent 3 is out.
+//
+// If agent 2 was merely suspected (a lost probe; its process and session
+// still carry every write), the stalled rebuild must not take it out of
+// service: agent 3 is rebuilt from agent 2, and agent 2 follows on the
+// next round. If agent 2 instead restarted on an emptied store (a
+// memory-backed agent), its fragment is gone and must not serve reads:
+// they fail instead of returning zeros, and agent 2 stays unhealthy.
+func TestReadmitKeepsLiveSessionWhenRebuildStalls(t *testing.T) {
+	for _, restarted := range []bool{false, true} {
+		c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, unit: 2048})
+		f, err := c.client.Open("obj", OpenFlags{Create: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, err := f.WriteAt(randBytes(60_000, 43), 0); err != nil {
+			t.Fatal(err)
+		}
+		c.client.noteFailure(2, ErrRetriesSpent)
+		c.agents[3].Close()
+		data := randBytes(60_000, 44)
+		if _, err := f.WriteAt(data, 0); err != nil {
+			t.Fatalf("degraded write: %v", err)
+		}
+		if h := c.client.Health()[3]; h.State == StateHealthy {
+			t.Fatal("failover did not mark agent 3")
+		}
+		if restarted {
+			c.agents[2].Close()
+			c.stores[2] = store.NewMem()
+			restartAgent(t, c, 2)
+		} else {
+			restartAgent(t, c, 3)
+		}
+		if err := c.client.StartMonitor(MonitorConfig{Interval: time.Hour, Rebuild: true}); err != nil {
+			t.Fatal(err)
+		}
+		defer c.client.StopMonitor()
+		for round := 0; round < 2; round++ {
+			c.client.ProbeOnce()
+		}
+		out := make([]byte, len(data))
+		if restarted {
+			if h := c.client.Health()[2]; h.State == StateHealthy {
+				t.Fatalf("emptied agent 2 re-admitted while agent 3 is out: %+v", h)
+			}
+			if _, err := f.ReadAt(out, 0); err == nil {
+				t.Fatalf("read with the emptied agent 2 and agent 3 out succeeded (matches data: %v)", bytes.Equal(out, data))
+			}
+			continue
+		}
+		for i, h := range c.client.Health() {
+			if h.State != StateHealthy {
+				t.Fatalf("agent %d not re-admitted after two rounds: %+v", i, h)
+			}
+		}
+		if bad, err := f.VerifyParity(); err != nil || len(bad) != 0 {
+			t.Fatalf("verify after readmission: rows %v, err %v", bad, err)
+		}
+		if _, err := f.ReadAt(out, 0); err != nil {
+			t.Fatalf("post-readmit read: %v", err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatal("post-readmit read mismatch")
+		}
 	}
 }
 

@@ -147,7 +147,7 @@ func newOverloadCluster(t *testing.T, mutate func(*Config)) *cluster {
 		Host:         ch,
 		Agents:       addrs,
 		Unit:         4096,
-		Parity:       true,
+		ParityShards: 1,
 		RetryTimeout: 20 * time.Millisecond,
 		MaxRetries:   5,
 	}

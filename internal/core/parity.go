@@ -288,7 +288,7 @@ func (f *File) VerifyParity() ([]int64, error) {
 	if f.closed {
 		return nil, ErrClosed
 	}
-	if !f.c.cfg.Parity {
+	if f.c.parityK() == 0 {
 		return nil, fmt.Errorf("core: verify requires parity")
 	}
 	if f.liveCount() < len(f.sessions) {
@@ -324,11 +324,11 @@ func (f *File) RepairRow(r int64) error {
 	if f.closed {
 		return ErrClosed
 	}
-	if !f.c.cfg.Parity {
-		return fmt.Errorf("core: repair requires parity")
-	}
 	l := f.c.layout
 	k := f.c.parityK()
+	if k == 0 {
+		return fmt.Errorf("core: repair requires parity")
+	}
 	for j := 0; j < k; j++ {
 		if pa := l.ParityAgentAt(r, j); pa >= len(f.sessions) || f.sessions[pa] == nil {
 			return fmt.Errorf("core: repair: parity agent %d down", pa)
@@ -378,7 +378,7 @@ func (f *File) Rebuild(idx int) error {
 // rebuildLocked is Rebuild with f.mu held (re-admission calls it before
 // the fresh session becomes visible to reads).
 func (f *File) rebuildLocked(idx int) error {
-	if !f.c.cfg.Parity {
+	if f.c.parityK() == 0 {
 		return fmt.Errorf("core: rebuild requires parity")
 	}
 	if idx < 0 || idx >= len(f.sessions) || f.sessions[idx] == nil {

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"testing"
 
-	"swift/internal/parity"
+	"swift/internal/ec"
 	"swift/internal/transport"
 	"swift/internal/transport/memnet"
 )
@@ -19,7 +19,7 @@ func memnetTestHost(t *testing.T) transport.Host {
 }
 
 func TestParityRoundTrip(t *testing.T) {
-	c := newCluster(t, clusterOpts{agents: 4, parity: true, unit: 2048})
+	c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, unit: 2048})
 	f, err := c.client.Open("obj", OpenFlags{Create: true})
 	if err != nil {
 		t.Fatalf("open: %v", err)
@@ -42,12 +42,16 @@ func TestParityUnitsAreConsistent(t *testing.T) {
 	// Verify on the agents' stores that each row's parity unit equals
 	// the XOR of its data units.
 	const unit = 1024
-	c := newCluster(t, clusterOpts{agents: 3, parity: true, unit: unit})
+	c := newCluster(t, clusterOpts{agents: 3, parityShards: 1, unit: unit})
 	f, _ := c.client.Open("obj", OpenFlags{Create: true})
 	defer f.Close()
 	data := randBytes(3*unit*2+777, 21) // a few rows plus a partial tail
 	f.WriteAt(data, 0)
 
+	xor, err := ec.New(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	l := c.client.Layout()
 	lastRow := l.RowOfGlobal(int64(len(data)) - 1)
 	for row := int64(0); row <= lastRow; row++ {
@@ -67,15 +71,15 @@ func TestParityUnitsAreConsistent(t *testing.T) {
 				units = append(units, buf)
 			}
 		}
-		if err := parity.Check(pbuf, units); err != nil {
-			t.Fatalf("row %d: %v", row, err)
+		if ok, err := xor.Verify(append(units, pbuf)); err != nil || !ok {
+			t.Fatalf("row %d: parity unit is not the XOR of the data units (err %v)", row, err)
 		}
 	}
 }
 
 func TestDegradedRead(t *testing.T) {
 	for dead := 0; dead < 4; dead++ {
-		c := newCluster(t, clusterOpts{agents: 4, parity: true, unit: 2048})
+		c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, unit: 2048})
 		f, _ := c.client.Open("obj", OpenFlags{Create: true})
 		data := randBytes(60_000, 22)
 		f.WriteAt(data, 0)
@@ -107,7 +111,7 @@ func TestDegradedRead(t *testing.T) {
 }
 
 func TestDegradedWriteThenRead(t *testing.T) {
-	c := newCluster(t, clusterOpts{agents: 4, parity: true, unit: 2048})
+	c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, unit: 2048})
 	f, _ := c.client.Open("obj", OpenFlags{Create: true})
 	data := randBytes(40_000, 23)
 	f.WriteAt(data, 0)
@@ -136,7 +140,7 @@ func TestDegradedWriteThenRead(t *testing.T) {
 }
 
 func TestMidOperationFailover(t *testing.T) {
-	c := newCluster(t, clusterOpts{agents: 4, parity: true, unit: 2048})
+	c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, unit: 2048})
 	f, _ := c.client.Open("obj", OpenFlags{Create: true})
 	defer f.Close()
 	data := randBytes(50_000, 25)
@@ -164,7 +168,7 @@ func TestMidOperationFailover(t *testing.T) {
 }
 
 func TestRebuild(t *testing.T) {
-	c := newCluster(t, clusterOpts{agents: 4, parity: true, unit: 2048})
+	c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, unit: 2048})
 	f, _ := c.client.Open("obj", OpenFlags{Create: true})
 	data := randBytes(45_000, 26)
 	f.WriteAt(data, 0)
@@ -209,7 +213,7 @@ func TestRebuild(t *testing.T) {
 
 func TestScrubDetectsAndRepairsCorruption(t *testing.T) {
 	const unit = 1024
-	c := newCluster(t, clusterOpts{agents: 4, parity: true, unit: unit})
+	c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, unit: unit})
 	f, _ := c.client.Open("scrub", OpenFlags{Create: true})
 	defer f.Close()
 	data := randBytes(20_000, 95)
@@ -272,7 +276,7 @@ func TestScrubRequiresParity(t *testing.T) {
 
 func TestParityRequiresThreeAgents(t *testing.T) {
 	n := memnetTestHost(t)
-	_, err := Dial(Config{Host: n, Agents: []string{"a:1", "b:1"}, Parity: true})
+	_, err := Dial(Config{Host: n, Agents: []string{"a:1", "b:1"}, ParityShards: 1})
 	if err == nil {
 		t.Fatal("expected error for parity with 2 agents")
 	}

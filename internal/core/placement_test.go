@@ -12,7 +12,7 @@ import (
 // newLayoutFile builds a detached File good enough to exercise the pure
 // placement helpers (placeGlobal, gather) without any network.
 func newLayoutFile(l stripe.Layout) *File {
-	return &File{c: &Client{cfg: Config{Parity: l.Parity}, layout: l}}
+	return &File{c: &Client{layout: l}}
 }
 
 // TestGatherPlaceInverse: for random layouts and ranges, gathering
@@ -27,7 +27,7 @@ func TestGatherPlaceInverse(t *testing.T) {
 			Agents: 1 + rng.Intn(6),
 		}
 		if l.Agents >= 3 && rng.Intn(2) == 0 {
-			l.Parity = true
+			l.ParityUnits = 1
 		}
 		file := newLayoutFile(l)
 
@@ -63,7 +63,7 @@ func TestGatherPlaceInverse(t *testing.T) {
 // TestGatherParityUnits: with parity enabled, gathering a parity unit's
 // fragment range sources bytes from the parity buffer, zero-padded.
 func TestGatherParityUnits(t *testing.T) {
-	l := stripe.Layout{Unit: 100, Agents: 3, Parity: true}
+	l := stripe.Layout{Unit: 100, Agents: 3, ParityUnits: 1}
 	file := newLayoutFile(l)
 	pbuf := make([]byte, 100)
 	for i := range pbuf {
@@ -92,7 +92,7 @@ func TestGatherParityUnits(t *testing.T) {
 // TestPlaceGlobalIgnoresParity: read-path placement must skip fragment
 // bytes that belong to parity units (no logical address).
 func TestPlaceGlobalIgnoresParity(t *testing.T) {
-	l := stripe.Layout{Unit: 100, Agents: 3, Parity: true}
+	l := stripe.Layout{Unit: 100, Agents: 3, ParityUnits: 1}
 	file := newLayoutFile(l)
 	dst := make([]byte, 300)
 	payload := bytes.Repeat([]byte{0xAA}, 100)

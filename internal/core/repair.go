@@ -46,7 +46,7 @@ func (f *File) noteUnrepairable(i int, err error) {
 // up to k-1 agents may be out while agent i's media is repaired. Callers
 // fall back to degraded-mode failover when repair is refused.
 func (f *File) repairCorrupt(i int, cerr error, off, n int64, sp *obs.Span) error {
-	if !f.c.cfg.Parity {
+	if f.c.parityK() == 0 {
 		return fmt.Errorf("core: repair agent %d: parity disabled", i)
 	}
 	if i < 0 || i >= len(f.sessions) || f.sessions[i] == nil {

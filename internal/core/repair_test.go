@@ -65,7 +65,7 @@ func writeObj(t *testing.T, c *cluster, name string, n int, seed int64) (*File, 
 // TestReadRepairHealsCorruptUnit: a single rotten data unit under parity
 // is detected, never served, repaired in place, and stays repaired.
 func TestReadRepairHealsCorruptUnit(t *testing.T) {
-	c := newCluster(t, clusterOpts{agents: 4, parity: true, integrityBS: repairBS})
+	c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, integrityBS: repairBS})
 	f, data := writeObj(t, c, "obj", 100_000, 1)
 	defer f.Close()
 
@@ -106,7 +106,7 @@ func TestReadRepairHealsCorruptUnit(t *testing.T) {
 // TestReadCorruptNoParity: without parity there is nothing to repair
 // from — the read must fail with a corrupt error, never return rot.
 func TestReadCorruptNoParity(t *testing.T) {
-	c := newCluster(t, clusterOpts{agents: 3, parity: false, integrityBS: repairBS})
+	c := newCluster(t, clusterOpts{agents: 3, integrityBS: repairBS})
 	f, data := writeObj(t, c, "obj", 60_000, 2)
 	defer f.Close()
 
@@ -136,7 +136,7 @@ func TestReadCorruptNoParity(t *testing.T) {
 // already down exceeds single-parity redundancy. The read must error —
 // quorum loss or a corruption report, never silent rot.
 func TestReadCorruptAgentDown(t *testing.T) {
-	c := newCluster(t, clusterOpts{agents: 4, parity: true, integrityBS: repairBS})
+	c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, integrityBS: repairBS})
 	// Stage the object while all agents are up.
 	f0, data := writeObj(t, c, "obj", 100_000, 3)
 	f0.Close()
@@ -177,7 +177,7 @@ func TestReadCorruptAgentDown(t *testing.T) {
 // corrupt block triggers write-path repair, then completes; the final
 // content is byte-exact.
 func TestWriteRepairsCorruptBlock(t *testing.T) {
-	c := newCluster(t, clusterOpts{agents: 4, parity: true, integrityBS: repairBS})
+	c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, integrityBS: repairBS})
 	f, data := writeObj(t, c, "obj", 100_000, 4)
 	defer f.Close()
 
@@ -215,7 +215,7 @@ func TestWriteRepairsCorruptBlock(t *testing.T) {
 // TestScrubHealsParityUnit: rot in a parity unit is invisible to reads;
 // only the scrubber finds and repairs it.
 func TestScrubHealsParityUnit(t *testing.T) {
-	c := newCluster(t, clusterOpts{agents: 4, parity: true, integrityBS: repairBS})
+	c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, integrityBS: repairBS})
 	f, data := writeObj(t, c, "obj", 100_000, 5)
 	defer f.Close()
 
@@ -255,7 +255,7 @@ func TestScrubHealsParityUnit(t *testing.T) {
 // but stale content (the crash-between-data-and-parity-writes case) is
 // caught by the scrubber's XOR audit and recomputed from data.
 func TestScrubRecomputesStaleParity(t *testing.T) {
-	c := newCluster(t, clusterOpts{agents: 4, parity: true, integrityBS: repairBS})
+	c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, integrityBS: repairBS})
 	f, data := writeObj(t, c, "obj", 100_000, 6)
 	defer f.Close()
 
@@ -301,7 +301,7 @@ func TestScrubRecomputesStaleParity(t *testing.T) {
 // stripe row exceed single parity. The scrubber reports them
 // unrepairable, and reads of the row fail with a corruption error.
 func TestScrubDoubleCorruptionUnrepairable(t *testing.T) {
-	c := newCluster(t, clusterOpts{agents: 4, parity: true, integrityBS: repairBS})
+	c := newCluster(t, clusterOpts{agents: 4, parityShards: 1, integrityBS: repairBS})
 	f, data := writeObj(t, c, "obj", 100_000, 7)
 	defer f.Close()
 

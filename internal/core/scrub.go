@@ -177,7 +177,7 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 	k := f.c.parityK()
 	switch {
 	case len(corrupt) == 0:
-		if !f.c.cfg.Parity {
+		if k == 0 {
 			return false, nil
 		}
 		// All units read back clean: audit the row through the codec.
@@ -228,7 +228,7 @@ func (f *File) scrubRow(r int64, opts ScrubOptions, rep *ScrubReport, sp *obs.Sp
 			f.c.traceEvent("repair", pa, "%s row %d parity recomputed", f.name, r)
 		}
 
-	case len(corrupt) <= k && f.c.cfg.Parity:
+	case len(corrupt) <= k && k > 0:
 		if !opts.Repair {
 			return false, nil
 		}
@@ -296,7 +296,7 @@ func (c *Client) agentState(i int) AgentState {
 func (c *Client) ScrubOnce() ScrubReport {
 	var rep ScrubReport
 	for _, f := range c.openFiles() {
-		r, err := f.Scrub(ScrubOptions{Repair: c.cfg.Parity})
+		r, err := f.Scrub(ScrubOptions{Repair: c.parityK() > 0})
 		rep.add(r)
 		rep.Objects++
 		if err != nil {

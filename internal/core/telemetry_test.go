@@ -63,7 +63,7 @@ func TestStatsAdvance(t *testing.T) {
 // TestHealthTransitionsObserved: killing an agent must surface lifecycle
 // transitions in both the per-agent counters and the trace ring.
 func TestHealthTransitionsObserved(t *testing.T) {
-	c := newCluster(t, clusterOpts{parity: true, agents: 3})
+	c := newCluster(t, clusterOpts{parityShards: 1, agents: 3})
 	f, err := c.client.Open("hobs", OpenFlags{Create: true})
 	if err != nil {
 		t.Fatal(err)

@@ -1,12 +1,11 @@
 package ec
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"swift/internal/parity"
 )
 
 // Shard order convention: a stripe row is a slice of m+k shards, data
@@ -113,10 +112,10 @@ func (c *counters) snapshot() Stats {
 }
 
 // New returns a Codec for m data and k parity shards. k=1 returns the
-// XOR codec — the existing internal/parity path is exactly the
-// degenerate single-parity Reed–Solomon code, and routing it through
-// parity.Compute keeps the two paths byte-identical by construction
-// (and proven by TestXORCompat). k>=2 returns the Reed–Solomon codec.
+// XOR codec: the paper's single computed copy, which is exactly the
+// degenerate single-parity Reed–Solomon code (TestXORCompat proves the
+// two byte-identical) but cheaper to compute. k>=2 returns the
+// Reed–Solomon codec.
 func New(m, k int) (Codec, error) {
 	if err := validate(m, k); err != nil {
 		return nil, err
@@ -129,8 +128,8 @@ func New(m, k int) (Codec, error) {
 
 // NewRS returns the Reed–Solomon codec even for k=1, bypassing the XOR
 // fast path. Only the compatibility tests need this: they prove that
-// RS(m,1) produces byte-identical parity to internal/parity, which is
-// what licenses New's k=1 delegation.
+// RS(m,1) produces byte-identical parity to plain XOR, which is what
+// licenses New's k=1 shortcut.
 func NewRS(m, k int) (Codec, error) {
 	if err := validate(m, k); err != nil {
 		return nil, err
@@ -371,8 +370,11 @@ func (c *rsCodec) decodeMatrix(presentMask uint32) (matrix, []int) {
 }
 
 // ---------------------------------------------------------------------
-// XOR codec: the degenerate k=1 case, delegating to internal/parity so
-// the legacy single-parity path and the ec path are the same code.
+// XOR codec: the degenerate k=1 case, the paper's computed-copy
+// redundancy — "resiliency in the presence of a single failure (per
+// group) at a low cost in terms of storage but at the expense of some
+// additional computation". XOR parity is its own inverse, so one routine
+// computes the parity unit and rebuilds any lost unit of the row.
 
 type xorCodec struct {
 	m   int
@@ -383,6 +385,28 @@ func (c *xorCodec) DataShards() int   { return c.m }
 func (c *xorCodec) ParityShards() int { return 1 }
 func (c *xorCodec) String() string    { return fmt.Sprintf("%d+1", c.m) }
 func (c *xorCodec) Stats() Stats      { return c.ctr.snapshot() }
+
+// xorInto xors src into dst element-wise over the overlapping prefix.
+func xorInto(dst, src []byte) {
+	n := len(dst)
+	if len(src) < n {
+		n = len(src)
+	}
+	// Simple byte loop; the compiler vectorizes this adequately, and the
+	// paper's cost model charges one instruction per byte anyway.
+	for i := 0; i < n; i++ {
+		dst[i] ^= src[i]
+	}
+}
+
+// xorRow fills out with the XOR of shards. Shards shorter than out are
+// zero-padded, and a nil (missing) shard contributes nothing.
+func xorRow(out []byte, shards [][]byte) {
+	clearSlice(out)
+	for _, s := range shards {
+		xorInto(out, s)
+	}
+}
 
 // Encode XORs the m data shards into the single parity shard in place.
 //
@@ -395,7 +419,7 @@ func (c *xorCodec) Encode(shards [][]byte) error {
 	for _, d := range shards[:c.m] {
 		nbytes += int64(len(d))
 	}
-	parity.Compute(shards[c.m], shards[:c.m])
+	xorRow(shards[c.m], shards[:c.m])
 	c.ctr.encodeCalls.Add(1)
 	c.ctr.encodeBytes.Add(nbytes)
 	return nil
@@ -405,7 +429,10 @@ func (c *xorCodec) Verify(shards [][]byte) (bool, error) {
 	if err := checkShards(shards, c.m+1, true); err != nil {
 		return false, err
 	}
-	return parity.Check(shards[c.m], shards[:c.m]) == nil, nil
+	have := shards[c.m]
+	want := make([]byte, len(have))
+	xorRow(want, shards[:c.m])
+	return bytes.Equal(have, want), nil
 }
 
 func (c *xorCodec) Reconstruct(shards [][]byte) error {
@@ -426,13 +453,7 @@ func (c *xorCodec) Reconstruct(shards [][]byte) error {
 	}
 	width := rowWidth(shards)
 	out := make([]byte, width)
-	surviving := make([][]byte, 0, c.m)
-	for i, s := range shards {
-		if i != missingIdx {
-			surviving = append(surviving, s)
-		}
-	}
-	parity.Reconstruct(out, surviving)
+	xorRow(out, shards)
 	shards[missingIdx] = out
 	c.ctr.reconstructCalls.Add(1)
 	c.ctr.reconstructBytes.Add(int64(width))

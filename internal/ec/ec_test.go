@@ -5,8 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-
-	"swift/internal/parity"
+	"testing/quick"
 )
 
 // ---------------------------------------------------------------------
@@ -134,7 +133,7 @@ func TestCodingMatrixProperties(t *testing.T) {
 		a := codingMatrix(m, k)
 		// Row 0 and column 0 must be all ones: this is what makes the
 		// first parity unit plain XOR and keeps the k=1 code
-		// byte-identical to internal/parity.
+		// byte-identical to the XOR codec.
 		for j := 0; j < m; j++ {
 			if a.at(0, j) != 1 {
 				t.Fatalf("m=%d k=%d: A[0][%d] = %d, want 1", m, k, j, a.at(0, j))
@@ -280,101 +279,216 @@ func TestShortTailShards(t *testing.T) {
 	// unit; they are treated as zero-padded. Encoding with a short
 	// shard must match encoding its zero-padded twin.
 	rng := rand.New(rand.NewSource(4))
-	c, err := New(4, 2)
-	if err != nil {
-		t.Fatal(err)
+	for _, mk := range [][2]int{{4, 1}, {4, 2}} {
+		m, k := mk[0], mk[1]
+		c, err := New(m, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full := mkShards(t, rng, m, k, 256)
+		for i := 100; i < 256; i++ {
+			full[m-1][i] = 0 // zero tail in the padded version
+		}
+		if err := c.Encode(full); err != nil {
+			t.Fatal(err)
+		}
+		short := cloneShards(full)
+		short[m-1] = short[m-1][:100]
+		for p := m; p < m+k; p++ {
+			short[p] = make([]byte, 256)
+		}
+		if err := c.Encode(short); err != nil {
+			t.Fatal(err)
+		}
+		for p := m; p < m+k; p++ {
+			if !bytes.Equal(short[p], full[p]) {
+				t.Fatalf("%s: short-shard parity %d differs from zero-padded parity", c, p)
+			}
+		}
+		if ok, _ := c.Verify(short); !ok {
+			t.Fatalf("%s: Verify rejects short tail shard", c)
+		}
 	}
-	full := mkShards(t, rng, 4, 2, 256)
-	for i := 100; i < 256; i++ {
-		full[3][i] = 0 // zero tail in the padded version
-	}
-	if err := c.Encode(full); err != nil {
-		t.Fatal(err)
-	}
-	short := cloneShards(full)
-	short[3] = short[3][:100]
-	short[4] = make([]byte, 256)
-	short[5] = make([]byte, 256)
-	if err := c.Encode(short); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(short[4], full[4]) || !bytes.Equal(short[5], full[5]) {
-		t.Fatal("short-shard parity differs from zero-padded parity")
-	}
-	if ok, _ := c.Verify(short); !ok {
-		t.Fatal("Verify rejects short tail shard")
-	}
+	// The XOR kernel under the k=1 codec: a short source touches only
+	// the overlapping prefix, which is the zero-padding rule.
+	t.Run("XORShortSource", func(t *testing.T) {
+		dst := []byte{1, 2, 3, 4}
+		xorInto(dst, []byte{0xff})
+		if want := []byte{0xfe, 2, 3, 4}; !bytes.Equal(dst, want) {
+			t.Fatalf("dst = %v, want %v", dst, want)
+		}
+	})
 }
 
 func TestVerifyDetectsCorruption(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, mk := range [][2]int{{4, 1}, {8, 2}} {
-		c, err := New(mk[0], mk[1])
+		m, k := mk[0], mk[1]
+		c, err := New(m, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		shards := mkShards(t, rng, mk[0], mk[1], 128)
-		if err := c.Encode(shards); err != nil {
-			t.Fatal(err)
-		}
-		shards[1][7] ^= 0x40
-		if ok, err := c.Verify(shards); err != nil || ok {
-			t.Fatalf("%s: Verify accepted a corrupt shard (ok=%v err=%v)", c, ok, err)
-		}
-	}
-}
-
-// ---------------------------------------------------------------------
-// XOR compatibility: the contract that lets internal/core swap the
-// legacy parity path for ec.Codec without rewriting any stored byte.
-
-func TestXORCompat(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	for _, m := range []int{1, 2, 3, 4, 7, 8, 15} {
-		data := make([][]byte, m)
-		for i := range data {
-			data[i] = make([]byte, 333)
-			rng.Read(data[i])
-		}
-		legacy := make([]byte, 333)
-		parity.Compute(legacy, data)
-
-		for _, newc := range []func(int, int) (Codec, error){New, NewRS} {
-			c, err := newc(m, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shards := make([][]byte, m+1)
-			copy(shards, data)
-			shards[m] = make([]byte, 333)
+		// A flipped bit in a data shard and in the last parity shard
+		// must each be caught.
+		for _, bad := range []int{1, m + k - 1} {
+			shards := mkShards(t, rng, m, k, 128)
 			if err := c.Encode(shards); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(shards[m], legacy) {
-				t.Fatalf("%T(m=%d): k=1 parity not byte-identical to internal/parity", c, m)
-			}
-			// Reconstruction of a lost data unit must also match the
-			// legacy XOR-of-survivors path.
-			lost := rng.Intn(m)
-			surviving := make([][]byte, 0, m)
-			for i, d := range data {
-				if i != lost {
-					surviving = append(surviving, d)
-				}
-			}
-			surviving = append(surviving, legacy)
-			want := make([]byte, 333)
-			parity.Reconstruct(want, surviving)
-			work := cloneShards(shards)
-			work[lost] = nil
-			if err := c.Reconstruct(work); err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(work[lost], want) {
-				t.Fatalf("%T(m=%d): k=1 reconstruction differs from parity.Reconstruct", c, m)
+			shards[bad][7] ^= 0x40
+			if ok, err := c.Verify(shards); err != nil || ok {
+				t.Fatalf("%s: Verify accepted corrupt shard %d (ok=%v err=%v)", c, bad, ok, err)
 			}
 		}
 	}
+	// A single flipped parity bit in a small (2,1) row.
+	t.Run("CheckDetectsCorruption", func(t *testing.T) {
+		c, err := New(2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shards := [][]byte{{1, 2, 3}, {4, 5, 6}, make([]byte, 3)}
+		if err := c.Encode(shards); err != nil {
+			t.Fatal(err)
+		}
+		shards[2][1] ^= 0x80
+		if ok, err := c.Verify(shards); err != nil || ok {
+			t.Fatalf("Verify accepted a corrupt parity unit (ok=%v err=%v)", ok, err)
+		}
+	})
+}
+
+// ---------------------------------------------------------------------
+// XOR compatibility: the contract that k=1 volumes written as plain
+// rotating XOR parity read back through ec.Codec without rewriting any
+// stored byte.
+
+// xorRef is an independent reference for a row's computed copy: the
+// byte-wise XOR of every unit, each zero-padded to width.
+func xorRef(width int, units [][]byte) []byte {
+	out := make([]byte, width)
+	for _, u := range units {
+		for i := 0; i < len(u) && i < width; i++ {
+			out[i] ^= u[i]
+		}
+	}
+	return out
+}
+
+// padTo returns b zero-padded to n bytes.
+func padTo(b []byte, n int) []byte {
+	out := make([]byte, n)
+	copy(out, b)
+	return out
+}
+
+func TestXORCompat(t *testing.T) {
+	// The reference and the codec's XOR kernel, on a hand-checked row.
+	t.Run("XORBasics", func(t *testing.T) {
+		want := []byte{0x0f, 0x0f, 0x00}
+		if got := xorRef(3, [][]byte{{0x00, 0xff, 0xaa}, {0x0f, 0xf0, 0xaa}}); !bytes.Equal(got, want) {
+			t.Fatalf("xorRef = %x, want %x", got, want)
+		}
+		dst := []byte{0x00, 0xff, 0xaa}
+		xorInto(dst, []byte{0x0f, 0xf0, 0xaa})
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("xorInto = %x, want %x", dst, want)
+		}
+	})
+	// Encode, verify and rebuild every unit of rows of many widths.
+	t.Run("ComputeCheckReconstruct", func(t *testing.T) {
+		const width = 333
+		rng := rand.New(rand.NewSource(6))
+		for _, m := range []int{1, 2, 3, 4, 7, 8, 15} {
+			for trial := 0; trial < 4; trial++ {
+				// Uneven lengths (trial 0 full width) exercise the
+				// zero-padding of short tail units.
+				data := make([][]byte, m)
+				for i := range data {
+					n := width
+					if trial > 0 {
+						n = 1 + rng.Intn(width)
+					}
+					data[i] = make([]byte, n)
+					rng.Read(data[i])
+				}
+				legacy := xorRef(width, data)
+
+				for _, newc := range []func(int, int) (Codec, error){New, NewRS} {
+					c, err := newc(m, 1)
+					if err != nil {
+						t.Fatal(err)
+					}
+					shards := make([][]byte, m+1)
+					copy(shards, data)
+					shards[m] = make([]byte, width)
+					if err := c.Encode(shards); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(shards[m], legacy) {
+						t.Fatalf("%T(m=%d): k=1 parity not byte-identical to plain XOR", c, m)
+					}
+					if ok, err := c.Verify(shards); err != nil || !ok {
+						t.Fatalf("%T(m=%d): Verify rejects plain XOR parity (ok=%v err=%v)", c, m, ok, err)
+					}
+					// Every lost unit, data or parity, is the XOR of the
+					// survivors and equals the original zero-padded.
+					for lost := 0; lost <= m; lost++ {
+						work := cloneShards(shards)
+						work[lost] = nil
+						if err := c.Reconstruct(work); err != nil {
+							t.Fatal(err)
+						}
+						var surviving [][]byte
+						for i, s := range shards {
+							if i != lost {
+								surviving = append(surviving, s)
+							}
+						}
+						got := work[lost]
+						if !bytes.Equal(got, xorRef(len(got), surviving)) {
+							t.Fatalf("%T(m=%d): unit %d rebuild differs from the XOR of its survivors", c, m, lost)
+						}
+						if !bytes.Equal(padTo(got, width), padTo(shards[lost], width)) {
+							t.Fatalf("%T(m=%d): unit %d rebuilt wrong", c, m, lost)
+						}
+					}
+				}
+			}
+		}
+	})
+	// Random rows: any single lost unit, data or parity, comes back
+	// exactly (zero-padded) from the survivors.
+	t.Run("QuickReconstructionIdentity", func(t *testing.T) {
+		f := func(seed int64) bool {
+			rng := rand.New(rand.NewSource(seed))
+			m := 2 + rng.Intn(6)
+			width := 1 + rng.Intn(512)
+			shards := make([][]byte, m+1)
+			for i := 0; i < m; i++ {
+				shards[i] = make([]byte, 1+rng.Intn(width))
+				rng.Read(shards[i])
+			}
+			shards[m] = make([]byte, width)
+			c, err := New(m, 1)
+			if err != nil || c.Encode(shards) != nil {
+				return false
+			}
+			if !bytes.Equal(shards[m], xorRef(width, shards[:m])) {
+				return false
+			}
+			lost := rng.Intn(m + 1)
+			work := cloneShards(shards)
+			work[lost] = nil
+			if c.Reconstruct(work) != nil {
+				return false
+			}
+			return bytes.Equal(padTo(work[lost], width), padTo(shards[lost], width))
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // ---------------------------------------------------------------------

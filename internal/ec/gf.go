@@ -1,8 +1,8 @@
 // Package ec implements Swift's general erasure coding: systematic
 // Reed–Solomon codes over GF(2^8) with m data and k parity units per
-// stripe row. It generalizes the single-XOR computed copy of
-// internal/parity — the paper's "resiliency in the presence of a single
-// failure (per group)" — to codes that tolerate any k simultaneous
+// stripe row, and the single-XOR computed copy (k=1) that is the paper's
+// "resiliency in the presence of a single failure (per group)". The
+// Reed–Solomon codes generalize it to tolerate any k simultaneous
 // failures, which is what production-scale arrays standardize on once
 // rebuild windows make double failures routine.
 //

@@ -107,14 +107,11 @@ type Requirements struct {
 	// Rate is the required data-rate in bytes/second. Zero requests
 	// best effort and is admitted on a single agent with a large unit.
 	Rate float64
-	// Redundancy asks for computed-copy (parity) protection, which
-	// costs ParityShards extra agents per stripe row.
-	Redundancy bool
-	// ParityShards is the number of parity units per stripe row (the k
-	// of an m+k erasure scheme). Zero with Redundancy means one (the
-	// single-XOR computed copy of the paper); values above one buy
-	// tolerance of that many simultaneous agent failures at the cost of
-	// as many extra agents. Setting it implies Redundancy.
+	// ParityShards asks for computed-copy (parity) protection: the
+	// number of parity units per stripe row (the k of an m+k erasure
+	// scheme), each costing one extra agent. Zero means none; one is the
+	// single-XOR computed copy of the paper; values above one buy
+	// tolerance of that many simultaneous agent failures.
 	ParityShards int
 	// Key is the client's placement key within a federated tier: it
 	// decides which replica is the session's home and the failover order
@@ -129,9 +126,8 @@ type Plan struct {
 	Agents       []int    // selected agent indices, striping order
 	Addrs        []string // their control addresses
 	Unit         int64    // striping unit in bytes
-	Parity       bool
-	ParityShards int     // parity units per stripe row (0 without parity)
-	Rate         float64 // granted (reserved) data-rate, bytes/second
+	ParityShards int      // parity units per stripe row (0 without parity)
+	Rate         float64  // granted (reserved) data-rate, bytes/second
 }
 
 // session is one admitted plan plus its lease and federation state.
@@ -389,18 +385,10 @@ func (m *Mediator) retryAfterLocked() time.Duration {
 
 // admitLocked runs admission control; m.mu held.
 func (m *Mediator) admitLocked(req Requirements) (*Plan, error) {
-	// Normalize the redundancy scheme: ParityShards implies Redundancy,
-	// and plain Redundancy means the single computed copy.
 	shards := req.ParityShards
 	if shards < 0 {
 		m.tel.rejects.Inc()
 		return nil, fmt.Errorf("%w: negative parity shards %d", ErrUnsatisfiable, shards)
-	}
-	if shards > 0 {
-		req.Redundancy = true
-	}
-	if req.Redundancy && shards == 0 {
-		shards = 1
 	}
 
 	// Available capacity per agent, sorted descending; ties broken by
@@ -424,7 +412,7 @@ func (m *Mediator) admitLocked(req Requirements) (*Plan, error) {
 
 	need := req.Rate
 	minAgents := 1
-	if req.Redundancy {
+	if shards > 0 {
 		// An m+k scheme needs at least two data units per row (one would
 		// be replication, not striping) on top of the k parity units.
 		minAgents = shards + 2
@@ -472,7 +460,6 @@ func (m *Mediator) admitLocked(req Requirements) (*Plan, error) {
 		p := &Plan{
 			SessionID:    id,
 			Unit:         m.chooseUnit(k),
-			Parity:       req.Redundancy,
 			ParityShards: shards,
 			Rate:         need,
 		}
@@ -496,8 +483,8 @@ func (m *Mediator) admitLocked(req Requirements) (*Plan, error) {
 		return p, nil
 	}
 	m.tel.rejects.Inc()
-	return nil, fmt.Errorf("%w: rate %.0f B/s (redundancy=%v parity_shards=%d)",
-		ErrUnsatisfiable, req.Rate, req.Redundancy, shards)
+	return nil, fmt.Errorf("%w: rate %.0f B/s (parity_shards=%d)",
+		ErrUnsatisfiable, req.Rate, shards)
 }
 
 // chooseUnit picks the striping unit for a k-agent session: the largest
@@ -598,7 +585,6 @@ type SessionStatus struct {
 	ID           uint64
 	Agents       []int
 	Unit         int64
-	Parity       bool
 	ParityShards int
 	Rate         float64
 	Expires      time.Time // zero when leases are disabled
@@ -618,7 +604,6 @@ func (m *Mediator) SessionList() []SessionStatus {
 			ID:           id,
 			Agents:       append([]int(nil), s.plan.Agents...),
 			Unit:         s.plan.Unit,
-			Parity:       s.plan.Parity,
 			ParityShards: s.plan.ParityShards,
 			Rate:         s.plan.Rate,
 			Expires:      s.expires,

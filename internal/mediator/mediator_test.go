@@ -128,12 +128,12 @@ func TestNetworkCapacityLimits(t *testing.T) {
 
 func TestRedundancyAddsAgent(t *testing.T) {
 	m, _ := New(testInstall())
-	p, err := m.OpenSession(Requirements{Rate: 300e3, Redundancy: true})
+	p, err := m.OpenSession(Requirements{Rate: 300e3, ParityShards: 1})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if !p.Parity {
-		t.Fatal("plan not marked parity")
+	if p.ParityShards != 1 {
+		t.Fatalf("plan parity shards = %d, want 1", p.ParityShards)
 	}
 	if len(p.Agents) < 3 {
 		t.Fatalf("agents = %d, want >= 3 with redundancy", len(p.Agents))
@@ -365,8 +365,8 @@ func TestParityShardsReserveExtraAgents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if !p.Parity || p.ParityShards != 2 {
-		t.Fatalf("plan parity=%v shards=%d, want true/2", p.Parity, p.ParityShards)
+	if p.ParityShards != 2 {
+		t.Fatalf("plan parity shards = %d, want 2", p.ParityShards)
 	}
 	if len(p.Agents) < 4 {
 		t.Fatalf("plan has %d agents, want >= 4 (2 data + 2 parity)", len(p.Agents))
@@ -409,20 +409,21 @@ func TestRejectsUnsatisfiableRedundancy(t *testing.T) {
 
 func TestParityShardsImplyRedundancy(t *testing.T) {
 	m, _ := New(testInstall())
+	// The parity-unit count alone selects the scheme: k=1 buys the
+	// computed copy (and the agents it needs), k=0 none.
 	p, err := m.OpenSession(Requirements{ParityShards: 1})
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	if !p.Parity || p.ParityShards != 1 {
-		t.Fatalf("plan parity=%v shards=%d, want true/1", p.Parity, p.ParityShards)
+	if p.ParityShards != 1 || len(p.Agents) < 3 {
+		t.Fatalf("k=1 plan: shards=%d agents=%d, want 1 shard on >= 3 agents", p.ParityShards, len(p.Agents))
 	}
-	// Legacy Redundancy without an explicit count is one parity shard.
-	q, err := m.OpenSession(Requirements{Redundancy: true})
+	q, err := m.OpenSession(Requirements{})
 	if err != nil {
-		t.Fatalf("open legacy: %v", err)
+		t.Fatalf("open unprotected: %v", err)
 	}
-	if q.ParityShards != 1 {
-		t.Fatalf("legacy redundancy shards = %d, want 1", q.ParityShards)
+	if q.ParityShards != 0 {
+		t.Fatalf("k=0 plan shards = %d, want 0", q.ParityShards)
 	}
 }
 

@@ -216,7 +216,6 @@ func (c *Client) AdmitTraced(req mediator.Requirements, ctx obs.SpanContext) (*m
 		Trace:  ctx,
 		Payload: wire.AppendMedOpenRequest(nil, &wire.MedOpenRequest{
 			Rate:         req.Rate,
-			Redundancy:   req.Redundancy,
 			ParityShards: uint16(shards),
 			Key:          req.Key,
 		}),

@@ -97,14 +97,14 @@ func TestRPCRoundTrips(t *testing.T) {
 	tier := newTestTier(t, 1, 0)
 	c := tier.clients[0]
 
-	rec, err := c.Admit(mediator.Requirements{Rate: 800e3, Redundancy: true, ParityShards: 2, Key: "tenant-a"})
+	rec, err := c.Admit(mediator.Requirements{Rate: 800e3, ParityShards: 2, Key: "tenant-a"})
 	if err != nil {
 		t.Fatalf("admit: %v", err)
 	}
 	if rec.Home != "med-a" || rec.Key != "tenant-a" {
 		t.Fatalf("record home=%q key=%q", rec.Home, rec.Key)
 	}
-	if !rec.Plan.Parity || rec.Plan.ParityShards != 2 || len(rec.Plan.Agents) < 3 {
+	if rec.Plan.ParityShards != 2 || len(rec.Plan.Agents) < 3 {
 		t.Fatalf("plan did not survive the wire: %+v", rec.Plan)
 	}
 	if len(rec.Plan.Addrs) != len(rec.Plan.Agents) {
@@ -228,6 +228,8 @@ func TestWireDrainHandsOff(t *testing.T) {
 // when the TMedOpenReply is lost and the client retransmits the same
 // (source, ReqID), the server must replay the original record instead of
 // admitting a second, orphaned session that double-reserves capacity.
+// The request is in the older client format — a bare redundancy flag with
+// a zero parity-shard count — which must still be admitted as k=1.
 func TestOpenRetransmitDoesNotDoubleAdmit(t *testing.T) {
 	tier := newTestTier(t, 1, 0)
 	conn, err := tier.net.MustHost("raw-client", memnet.HostConfig{}, tier.seg).Listen("0")
@@ -235,9 +237,11 @@ func TestOpenRetransmitDoesNotDoubleAdmit(t *testing.T) {
 		t.Fatalf("listen: %v", err)
 	}
 	defer conn.Close()
+	legacy := wire.AppendMedOpenRequest(nil, &wire.MedOpenRequest{Rate: 1e3, Key: "tenant-a"})
+	legacy[8] = 1 // redundancy flag set, parity shards left 0
 	req := &wire.Packet{
 		Header:  wire.Header{Type: wire.TMedOpen, ReqID: 7},
-		Payload: wire.AppendMedOpenRequest(nil, &wire.MedOpenRequest{Rate: 1e3, Key: "tenant-a"}),
+		Payload: legacy,
 	}
 	buf, err := wire.Marshal(req)
 	if err != nil {
@@ -273,6 +277,13 @@ func TestOpenRetransmitDoesNotDoubleAdmit(t *testing.T) {
 	}
 	if n := tier.meds[0].Sessions(); n != 1 {
 		t.Fatalf("sessions = %d after retransmitted open, want 1", n)
+	}
+	rec, err := wire.ParseMedRecord(r1.Payload)
+	if err != nil {
+		t.Fatalf("parse reply record: %v", err)
+	}
+	if rec.Shards != 1 || len(rec.Agents) < 3 {
+		t.Fatalf("flag-only open admitted with %d parity shards on %d agents, want 1 on >= 3", rec.Shards, len(rec.Agents))
 	}
 }
 

@@ -190,7 +190,6 @@ func (s *Server) handle(from string, pkt *wire.Packet) {
 		}
 		rec, err := med.Admit(mediator.Requirements{
 			Rate:         req.Rate,
-			Redundancy:   req.Redundancy,
 			ParityShards: int(req.ParityShards),
 			Key:          req.Key,
 		})
@@ -391,7 +390,6 @@ func toWireRecord(r *mediator.SessionRecord) (wire.MedRecord, error) {
 		Key:    r.Key,
 		Home:   r.Home,
 		Unit:   r.Plan.Unit,
-		Parity: r.Plan.Parity,
 		Shards: uint16(r.Plan.ParityShards),
 		Rate:   r.Plan.Rate,
 		Addrs:  append([]string(nil), r.Plan.Addrs...),
@@ -418,7 +416,6 @@ func fromWireRecord(w *wire.MedRecord) mediator.SessionRecord {
 		Plan: mediator.Plan{
 			SessionID:    w.ID,
 			Unit:         w.Unit,
-			Parity:       w.Parity,
 			ParityShards: int(w.Shards),
 			Rate:         w.Rate,
 			Addrs:        append([]string(nil), w.Addrs...),

@@ -40,7 +40,7 @@ func (c ParityConfig) filled() ParityConfig {
 // parityUnitsPerDisk returns each disk's unit count for one request,
 // including the rotating parity units.
 func parityUnitsPerDisk(cfg ParityConfig) []int {
-	l := stripe.Layout{Unit: cfg.Unit, Agents: cfg.Disks, Parity: true}
+	l := stripe.Layout{Unit: cfg.Unit, Agents: cfg.Disks, ParityUnits: 1}
 	per := make([]int, cfg.Disks)
 	for i, frag := range l.FragmentSizes(cfg.RequestBytes) {
 		per[i] = int((frag + cfg.Unit - 1) / cfg.Unit)

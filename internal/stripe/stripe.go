@@ -27,29 +27,14 @@ import (
 type Layout struct {
 	// Unit is the striping unit in bytes (> 0).
 	Unit int64
-	// Agents is the number of storage agents (>= 1; >= ParityPerRow()+2
+	// Agents is the number of storage agents (>= 1; >= ParityUnits+2
 	// with parity).
 	Agents int
-	// Parity enables computed-copy redundancy: rotating parity units in
-	// every stripe row. With ParityUnits zero this is the legacy single
-	// XOR unit per row.
-	Parity bool
-	// ParityUnits is the number of parity units per row (k). Zero means
-	// 1 when Parity is set. Values >= 2 select Reed–Solomon coding and
-	// tolerate up to k failed agents per row.
+	// ParityUnits is the number of computed-copy parity units per row
+	// (k); zero disables redundancy. One is the paper's single rotating
+	// XOR unit; values >= 2 select Reed–Solomon coding and tolerate up
+	// to k failed agents per row.
 	ParityUnits int
-}
-
-// ParityPerRow returns the effective number of parity units per stripe
-// row: 0 without parity, max(1, ParityUnits) with it.
-func (l Layout) ParityPerRow() int {
-	if !l.Parity && l.ParityUnits == 0 {
-		return 0
-	}
-	if l.ParityUnits > 0 {
-		return l.ParityUnits
-	}
-	return 1
 }
 
 // Validate reports whether the layout parameters are usable.
@@ -63,7 +48,7 @@ func (l Layout) Validate() error {
 	if l.ParityUnits < 0 {
 		return fmt.Errorf("stripe: parity units must be non-negative, got %d", l.ParityUnits)
 	}
-	if k := l.ParityPerRow(); k > 0 && l.Agents < k+2 {
+	if k := l.ParityUnits; k > 0 && l.Agents < k+2 {
 		if k == 1 {
 			return fmt.Errorf("stripe: parity requires at least 3 agents, got %d", l.Agents)
 		}
@@ -74,7 +59,7 @@ func (l Layout) Validate() error {
 }
 
 // DataPerRow returns the number of data units per stripe row.
-func (l Layout) DataPerRow() int { return l.Agents - l.ParityPerRow() }
+func (l Layout) DataPerRow() int { return l.Agents - l.ParityUnits }
 
 // RowBytes returns the number of logical (data) bytes per stripe row.
 func (l Layout) RowBytes() int64 { return l.Unit * int64(l.DataPerRow()) }
@@ -84,7 +69,7 @@ func (l Layout) RowBytes() int64 { return l.Unit * int64(l.DataPerRow()) }
 // no agent becomes a parity bottleneck; at k=1 this is exactly the
 // legacy left-symmetric rotation Agents-1 - row%Agents.
 func (l Layout) parityBase(row int64) int {
-	k := int64(l.ParityPerRow())
+	k := int64(l.ParityUnits)
 	a := int64(l.Agents)
 	return int((int64(l.Agents-1) - (row*k)%a + a) % a)
 }
@@ -94,7 +79,7 @@ func (l Layout) parityBase(row int64) int {
 func (l Layout) ParityAgent(row int64) int { return l.parityBase(row) }
 
 // ParityAgentAt returns the agent holding the j-th parity unit (0-based,
-// j < ParityPerRow) of the given row.
+// j < ParityUnits) of the given row.
 func (l Layout) ParityAgentAt(row int64, j int) int {
 	return (l.parityBase(row) + j) % l.Agents
 }
@@ -102,7 +87,7 @@ func (l Layout) ParityAgentAt(row int64, j int) int {
 // DataAgent returns the agent holding the j-th data unit (0-based) of the
 // given row.
 func (l Layout) DataAgent(row int64, j int) int {
-	k := l.ParityPerRow()
+	k := l.ParityUnits
 	if k == 0 {
 		return j
 	}
@@ -112,7 +97,7 @@ func (l Layout) DataAgent(row int64, j int) int {
 // dataPos returns the position j such that DataAgent(row, j) == agent, or
 // -1 if the agent holds parity in that row.
 func (l Layout) dataPos(row int64, agent int) int {
-	k := l.ParityPerRow()
+	k := l.ParityUnits
 	if k == 0 {
 		return agent
 	}
@@ -134,7 +119,7 @@ func (l Layout) DataPos(row int64, agent int) int { return l.dataPos(row, agent)
 // ParityAgentAt(row, j) == agent, or -1 if the agent holds data in that
 // row (or parity is disabled).
 func (l Layout) ParityPos(row int64, agent int) int {
-	k := l.ParityPerRow()
+	k := l.ParityUnits
 	if k == 0 {
 		return -1
 	}
@@ -294,7 +279,7 @@ func (l Layout) FragmentSizes(size int64) []int64 {
 		}
 		g += take
 	}
-	if k := l.ParityPerRow(); k > 0 {
+	if k := l.ParityUnits; k > 0 {
 		lastRow := l.RowOfGlobal(size - 1)
 		for row := int64(0); row <= lastRow; row++ {
 			for j := 0; j < k; j++ {

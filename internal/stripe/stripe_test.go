@@ -12,14 +12,14 @@ func layouts() []Layout {
 		{Unit: 4096, Agents: 3},
 		{Unit: 1000, Agents: 4},
 		{Unit: 32768, Agents: 8},
-		{Unit: 4096, Agents: 3, Parity: true},
-		{Unit: 1000, Agents: 4, Parity: true},
-		{Unit: 8192, Agents: 7, Parity: true},
-		{Unit: 4096, Agents: 4, Parity: true, ParityUnits: 2},
-		{Unit: 1000, Agents: 5, Parity: true, ParityUnits: 2},
-		{Unit: 8192, Agents: 6, Parity: true, ParityUnits: 2},
-		{Unit: 2048, Agents: 7, Parity: true, ParityUnits: 3},
-		{Unit: 512, Agents: 6, Parity: true, ParityUnits: 4},
+		{Unit: 4096, Agents: 3, ParityUnits: 1},
+		{Unit: 1000, Agents: 4, ParityUnits: 1},
+		{Unit: 8192, Agents: 7, ParityUnits: 1},
+		{Unit: 4096, Agents: 4, ParityUnits: 2},
+		{Unit: 1000, Agents: 5, ParityUnits: 2},
+		{Unit: 8192, Agents: 6, ParityUnits: 2},
+		{Unit: 2048, Agents: 7, ParityUnits: 3},
+		{Unit: 512, Agents: 6, ParityUnits: 4},
 	}
 }
 
@@ -28,9 +28,9 @@ func TestValidate(t *testing.T) {
 		{Unit: 0, Agents: 3},
 		{Unit: -5, Agents: 3},
 		{Unit: 4096, Agents: 0},
-		{Unit: 4096, Agents: 2, Parity: true},
-		{Unit: 4096, Agents: 3, Parity: true, ParityUnits: 2},
-		{Unit: 4096, Agents: 5, Parity: true, ParityUnits: 4},
+		{Unit: 4096, Agents: 2, ParityUnits: 1},
+		{Unit: 4096, Agents: 3, ParityUnits: 2},
+		{Unit: 4096, Agents: 5, ParityUnits: 4},
 		{Unit: 4096, Agents: 5, ParityUnits: -1},
 	}
 	for _, l := range bad {
@@ -78,7 +78,7 @@ func TestLocateQuick(t *testing.T) {
 }
 
 func TestParityAgentRotates(t *testing.T) {
-	l := Layout{Unit: 4096, Agents: 5, Parity: true}
+	l := Layout{Unit: 4096, Agents: 5, ParityUnits: 1}
 	seen := make(map[int]int)
 	for r := int64(0); r < 5; r++ {
 		seen[l.ParityAgent(r)]++
@@ -102,7 +102,7 @@ func TestParityAgentRotates(t *testing.T) {
 // unit placement under the generalized rotation.
 func TestLegacyParityPlacementUnchanged(t *testing.T) {
 	for _, agents := range []int{3, 4, 5, 7, 8} {
-		l := Layout{Unit: 4096, Agents: agents, Parity: true}
+		l := Layout{Unit: 4096, Agents: agents, ParityUnits: 1}
 		for r := int64(0); r < int64(4*agents); r++ {
 			legacyP := int(int64(agents-1) - r%int64(agents))
 			if got := l.ParityAgent(r); got != legacyP {
@@ -126,7 +126,7 @@ func TestLegacyParityPlacementUnchanged(t *testing.T) {
 // unit per row, and ParityPos/dataPos agree on which kind.
 func TestRowPartition(t *testing.T) {
 	for _, l := range layouts() {
-		k := l.ParityPerRow()
+		k := l.ParityUnits
 		for r := int64(0); r < 3*int64(l.Agents); r++ {
 			kind := make(map[int]string)
 			for j := 0; j < k; j++ {
@@ -167,7 +167,7 @@ func TestRowPartition(t *testing.T) {
 // SizeFromFragments walk-back bound.
 func TestParityRotationCoverage(t *testing.T) {
 	for _, l := range layouts() {
-		if l.ParityPerRow() == 0 {
+		if l.ParityUnits == 0 {
 			continue
 		}
 		run := make(map[int]int)
@@ -304,7 +304,7 @@ func TestSizeZeroAndEmpty(t *testing.T) {
 }
 
 func TestRowHelpers(t *testing.T) {
-	l := Layout{Unit: 1000, Agents: 4, Parity: true}
+	l := Layout{Unit: 1000, Agents: 4, ParityUnits: 1}
 	if l.RowBytes() != 3000 {
 		t.Fatalf("row bytes = %d", l.RowBytes())
 	}

@@ -83,10 +83,10 @@ func FuzzControlPayloads(f *testing.F) {
 	f.Add(names)
 	f.Add(AppendPingReply(nil, &PingReply{Objects: 3, Sessions: 2, Bytes: 1 << 33}))
 	f.Add(AppendError(nil, "no such object"))
-	f.Add(AppendMedOpenRequest(nil, &MedOpenRequest{Rate: 1e6, Redundancy: true, ParityShards: 2, Key: "tenant-a"}))
+	f.Add(AppendMedOpenRequest(nil, &MedOpenRequest{Rate: 1e6, ParityShards: 2, Key: "tenant-a"}))
 	rec := MedRecord{
 		ID: 0x1234000000000007, Key: "tenant-a", Home: "med-b", Expires: 1 << 60,
-		Unit: 65536, Parity: true, Shards: 2, Rate: 1e6,
+		Unit: 65536, Shards: 2, Rate: 1e6,
 		Agents: []uint16{0, 2, 3, 5, 6}, Addrs: []string{"h0:9000", "h2:9000", "h3:9000", "h5:9000", "h6:9000"},
 	}
 	f.Add(AppendMedRecord(nil, &rec))

@@ -15,32 +15,41 @@ import (
 // requirements.
 type MedOpenRequest struct {
 	Rate         float64 // required data-rate, bytes/second
-	Redundancy   bool
-	ParityShards uint16
-	Key          string // placement key
+	ParityShards uint16  // parity units per stripe row (k); 0 = none
+	Key          string  // placement key
+}
+
+// appendShards encodes a redundancy scheme as the wire's flag byte
+// (k > 0) followed by k.
+func appendShards(dst []byte, k uint16) []byte {
+	if k > 0 {
+		dst = append(dst, 1)
+	} else {
+		dst = append(dst, 0)
+	}
+	return binary.BigEndian.AppendUint16(dst, k)
 }
 
 // AppendMedOpenRequest encodes r.
 func AppendMedOpenRequest(dst []byte, r *MedOpenRequest) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(r.Rate))
-	if r.Redundancy {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = binary.BigEndian.AppendUint16(dst, r.ParityShards)
+	dst = appendShards(dst, r.ParityShards)
 	return appendString(dst, r.Key)
 }
 
-// ParseMedOpenRequest decodes a TMedOpen payload.
+// ParseMedOpenRequest decodes a TMedOpen payload. Older clients sent a
+// bare redundancy flag with a zero count to ask for the single computed
+// copy, so flag 1 with k = 0 decodes as k = 1.
 func ParseMedOpenRequest(b []byte) (MedOpenRequest, error) {
 	if len(b) < 11 {
 		return MedOpenRequest{}, ErrShortPayload
 	}
 	r := MedOpenRequest{
 		Rate:         math.Float64frombits(binary.BigEndian.Uint64(b)),
-		Redundancy:   b[8] != 0,
 		ParityShards: binary.BigEndian.Uint16(b[9:]),
+	}
+	if b[8] != 0 && r.ParityShards == 0 {
+		r.ParityShards = 1
 	}
 	key, _, err := parseString(b[11:])
 	if err != nil {
@@ -60,8 +69,7 @@ type MedRecord struct {
 	Home    string
 	Expires int64 // lease deadline, Unix nanoseconds; 0 = no lease
 	Unit    int64
-	Parity  bool
-	Shards  uint16 // parity shards
+	Shards  uint16 // parity shards per stripe row (k); 0 = none
 	Rate    float64
 	Agents  []uint16 // selected agent indices, striping order
 	Addrs   []string // their control addresses
@@ -78,12 +86,7 @@ func AppendMedRecord(dst []byte, r *MedRecord) []byte {
 	dst = appendString(dst, r.Home)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Expires))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(r.Unit))
-	if r.Parity {
-		dst = append(dst, 1)
-	} else {
-		dst = append(dst, 0)
-	}
-	dst = binary.BigEndian.AppendUint16(dst, r.Shards)
+	dst = appendShards(dst, r.Shards)
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(r.Rate))
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(r.Agents)))
 	for _, a := range r.Agents {
@@ -116,8 +119,7 @@ func parseMedRecord(b []byte) (MedRecord, []byte, error) {
 	}
 	r.Expires = int64(binary.BigEndian.Uint64(b))
 	r.Unit = int64(binary.BigEndian.Uint64(b[8:]))
-	r.Parity = b[16] != 0
-	r.Shards = binary.BigEndian.Uint16(b[17:])
+	r.Shards = binary.BigEndian.Uint16(b[17:]) // b[16] is the k > 0 flag
 	r.Rate = math.Float64frombits(binary.BigEndian.Uint64(b[19:]))
 	n := int(binary.BigEndian.Uint16(b[27:]))
 	b = b[29:]

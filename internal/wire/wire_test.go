@@ -131,6 +131,46 @@ func TestOpenPayloads(t *testing.T) {
 	if err != nil || gr != *rep {
 		t.Fatalf("open reply: %v %v", gr, err)
 	}
+
+	// Mediator session open and its reply record: the redundancy scheme
+	// travels as a flag byte (k > 0) plus k, byte-identical to the
+	// format that carried a separate redundancy bool.
+	medGolden := []struct {
+		k          uint16
+		open, recd string
+	}{
+		{0, "412e848000000000000000000874656e616e742d61",
+			"0000000000000007000874656e616e742d6100056d65642d6200000100000000000000000000010000000000412e84800000000000030000000200030003000468303a31000468323a31000468333a31"},
+		{1, "412e848000000000010001000874656e616e742d61",
+			"0000000000000007000874656e616e742d6100056d65642d6200000100000000000000000000010000010001412e84800000000000030000000200030003000468303a31000468323a31000468333a31"},
+		{2, "412e848000000000010002000874656e616e742d61",
+			"0000000000000007000874656e616e742d6100056d65642d6200000100000000000000000000010000010002412e84800000000000030000000200030003000468303a31000468323a31000468333a31"},
+	}
+	for _, g := range medGolden {
+		mo := MedOpenRequest{Rate: 1e6, ParityShards: g.k, Key: "tenant-a"}
+		b = AppendMedOpenRequest(nil, &mo)
+		if got := fmt.Sprintf("%x", b); got != g.open {
+			t.Fatalf("k=%d med open = %s, want %s", g.k, got, g.open)
+		}
+		if got, err := ParseMedOpenRequest(b); err != nil || got != mo {
+			t.Fatalf("k=%d med open parse: %+v %v", g.k, got, err)
+		}
+		rec := MedRecord{ID: 7, Key: "tenant-a", Home: "med-b", Expires: 1 << 40, Unit: 65536,
+			Shards: g.k, Rate: 1e6, Agents: []uint16{0, 2, 3}, Addrs: []string{"h0:1", "h2:1", "h3:1"}}
+		b = AppendMedRecord(nil, &rec)
+		if got := fmt.Sprintf("%x", b); got != g.recd {
+			t.Fatalf("k=%d med record = %s, want %s", g.k, got, g.recd)
+		}
+		if got, err := ParseMedRecord(b); err != nil || got.Shards != g.k {
+			t.Fatalf("k=%d med record parse: %+v %v", g.k, got, err)
+		}
+	}
+	// A bare redundancy flag with no count (an older client's request
+	// for the single computed copy) decodes as k = 1.
+	legacy := []byte{0x41, 0x2e, 0x84, 0x80, 0, 0, 0, 0, 1, 0, 0, 0, 1, 'a'}
+	if got, err := ParseMedOpenRequest(legacy); err != nil || got.ParityShards != 1 {
+		t.Fatalf("flag-only med open = %+v %v, want k=1", got, err)
+	}
 }
 
 func TestStatReplyPayload(t *testing.T) {

@@ -61,16 +61,12 @@ type Config struct {
 	Agents []string
 	// StripeUnit is the striping unit in bytes (default 32 KiB).
 	StripeUnit int64
-	// Parity enables computed-copy redundancy (requires >= 3 agents):
-	// rotating parity units per stripe row. With ParityShards unset this
-	// is the paper's single XOR computed copy, tolerating one failed
-	// agent.
-	Parity bool
-	// ParityShards selects the m+k erasure scheme: the number of parity
-	// units per stripe row (k), each on its own agent. Zero with Parity
-	// set means 1 (plain XOR); 2 or more selects Reed–Solomon coding
-	// tolerating that many simultaneous agent failures. Setting it
-	// implies Parity. Requires len(Agents) >= ParityShards+2.
+	// ParityShards selects computed-copy redundancy as an m+k erasure
+	// scheme: the number of rotating parity units per stripe row (k),
+	// each on its own agent. Zero disables redundancy; 1 is the paper's
+	// single XOR computed copy, tolerating one failed agent; 2 or more
+	// selects Reed–Solomon coding tolerating that many simultaneous
+	// agent failures. Requires len(Agents) >= ParityShards+2.
 	ParityShards int
 	// DataShards, when non-zero, asserts the number of data units per
 	// stripe row (m). It is always len(Agents)-ParityShards; Dial
@@ -91,10 +87,6 @@ type Config struct {
 	// detected sequential streams are additionally prefetched
 	// asynchronously into the block cache ahead of the reader.
 	ReadAhead int64
-	// ReadAheadStreams bounds how many concurrent sequential streams get
-	// asynchronous read-ahead (default 2). More streams pipeline more
-	// concurrent readers at the cost of agent-side interleaving.
-	ReadAheadStreams int
 	// CacheSize bounds the client block cache in bytes. Zero auto-sizes
 	// from ReadAhead and WriteBehindMax (at least 8 MiB when any caching
 	// feature is on); negative disables the cache tier entirely.
@@ -123,12 +115,12 @@ type Config struct {
 	HealthInterval time.Duration
 	// AutoRebuild makes re-admission rebuild a returning agent's
 	// fragments from the survivors before it serves reads again
-	// (requires Parity).
+	// (requires ParityShards > 0).
 	AutoRebuild bool
 	// ScrubInterval, when > 0 together with HealthInterval, runs a
 	// background scrub over every open file at this period: each stripe
 	// row is read from all agents, verified against the integrity
-	// envelope and the parity equation, and (with Parity) repaired in
+	// envelope and the parity equation, and (with parity) repaired in
 	// place — corrupt units rewritten from the XOR of their peers, stale
 	// parity recomputed from the data.
 	ScrubInterval time.Duration
@@ -139,7 +131,7 @@ type Config struct {
 	OpTimeout time.Duration
 	// HedgeReads races a parity reconstruction against a straggling agent
 	// once a read burst exceeds a p99-derived hedge delay (requires
-	// Parity). Hedges spend the retry budget, so a broadly slow cluster
+	// ParityShards > 0). Hedges spend the retry budget, so a broadly slow cluster
 	// cannot amplify load.
 	HedgeReads bool
 	// HedgeMultiplier scales the observed p99 read-burst latency into the
@@ -200,15 +192,9 @@ type OpenFlags = core.OpenFlags
 
 // Dial creates a Swift client for the given agent set.
 func Dial(cfg Config) (*FS, error) {
-	if cfg.DataShards > 0 {
-		k := cfg.ParityShards
-		if k == 0 && cfg.Parity {
-			k = 1
-		}
-		if cfg.DataShards+k != len(cfg.Agents) {
-			return nil, fmt.Errorf("swift: %d data + %d parity shards need %d agents, have %d",
-				cfg.DataShards, k, cfg.DataShards+k, len(cfg.Agents))
-		}
+	if k := cfg.ParityShards; cfg.DataShards > 0 && cfg.DataShards+k != len(cfg.Agents) {
+		return nil, fmt.Errorf("swift: %d data + %d parity shards need %d agents, have %d",
+			cfg.DataShards, k, cfg.DataShards+k, len(cfg.Agents))
 	}
 	tracer := cfg.Tracer
 	if tracer == nil {
@@ -219,7 +205,6 @@ func Dial(cfg Config) (*FS, error) {
 		Host:         cfg.Host,
 		Agents:       cfg.Agents,
 		Unit:         cfg.StripeUnit,
-		Parity:       cfg.Parity,
 		ParityShards: cfg.ParityShards,
 		SyncWrites:   cfg.SyncWrites,
 		RequestBytes: cfg.RequestBytes,
@@ -230,10 +215,9 @@ func Dial(cfg Config) (*FS, error) {
 		WritePace:    cfg.WritePace,
 		Sleep:        cfg.Sleep,
 
-		ReadAheadStreams: cfg.ReadAheadStreams,
-		CacheSize:        cfg.CacheSize,
-		WriteBehindMax:   cfg.WriteBehindMax,
-		CacheSync:        cfg.CacheSync,
+		CacheSize:      cfg.CacheSize,
+		WriteBehindMax: cfg.WriteBehindMax,
+		CacheSync:      cfg.CacheSync,
 
 		OpTimeout:        cfg.OpTimeout,
 		HedgeReads:       cfg.HedgeReads,
@@ -348,7 +332,7 @@ func (fs *FS) ScrubAll(opts ScrubOptions) (ScrubReport, error) {
 }
 
 // ScrubOpen scrubs every currently open file once, repairing (when
-// Parity is enabled) what it finds — the same pass the background
+// parity is enabled) what it finds — the same pass the background
 // scrubber (Config.ScrubInterval) runs on its timer.
 func (fs *FS) ScrubOpen() ScrubReport { return fs.c.ScrubOnce() }
 
@@ -467,7 +451,7 @@ func (fs *FS) Layout() LayoutInfo {
 		Unit:         l.Unit,
 		Agents:       l.Agents,
 		DataShards:   l.DataPerRow(),
-		ParityShards: l.ParityPerRow(),
+		ParityShards: l.ParityUnits,
 		Scheme:       fs.c.Scheme(),
 	}
 }
@@ -571,12 +555,8 @@ func NewMediatorBroker(cfg BrokerConfig) (*MediatorBroker, error) {
 func (c *Config) ApplyPlan(p *TransferPlan) {
 	c.Agents = append([]string(nil), p.Addrs...)
 	c.StripeUnit = p.Unit
-	c.Parity = p.Parity
 	c.ParityShards = p.ParityShards
-	c.DataShards = 0
-	if p.Parity {
-		c.DataShards = len(p.Addrs) - p.ParityShards
-	}
+	c.DataShards = len(p.Addrs) - p.ParityShards
 }
 
 // AgentConfig configures a storage agent server.

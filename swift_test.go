@@ -103,7 +103,7 @@ func TestFacadeParityDegradedOverUDP(t *testing.T) {
 	}()
 	fs, err := swift.Dial(swift.Config{
 		Host: host, Agents: addrs,
-		StripeUnit: 4 * 1024, Parity: true,
+		StripeUnit: 4 * 1024, ParityShards: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
