@@ -1757,7 +1757,7 @@ func chaosCacheCoherence(t *testing.T) {
 	if d := writer.CacheStats().Dirty; d != 0 {
 		t.Fatalf("drill10: %d dirty bytes survived the lease loss unflushed", d)
 	}
-	verifier := dial("cc-verify", func(cfg *swift.Config) { cfg.CacheSize = -1 })
+	verifier := dial("cc-verify", nil)
 	defer verifier.Close()
 	vf, err := verifier.Open("cc-obj")
 	if err != nil {

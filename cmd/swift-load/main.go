@@ -49,7 +49,7 @@ func main() {
 	chaos := flag.Bool("chaos", false, "run a randomized fault schedule against the load")
 	chaosSeed := flag.Int64("chaos-seed", 1, "fault schedule seed")
 	cacheProf := flag.Bool("cache", false, "run the cached re-read profile instead of the Poisson load: sequential read + re-read with the block cache on vs off, reporting the agent round-trip ratio")
-	cacheSize := flag.String("cache-size", "0", "client block cache size (suffix K or M; 0 = auto when a cache feature is on, -1 = off)")
+	cacheSize := flag.String("cache-size", "0", "client block cache size (suffix K or M; > 0 turns the cache on; 0 = auto-sized when -write-behind turns it on, off otherwise)")
 	writeBehind := flag.String("write-behind", "0", "write-behind dirty budget (suffix K or M; 0 = write-through)")
 	verbose := flag.Bool("v", false, "log diagnostics and burst-level trace events to stderr")
 	metrics := flag.String("metrics", "", "HTTP address for /metrics, /trace and /debug/pprof while the load runs (e.g. :9090; empty = off)")
@@ -70,13 +70,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "swift-load: %v\n", err)
 		os.Exit(2)
 	}
-	cacheBytes, err := parseSizeSigned(*cacheSize)
+	cacheBytes, err := parseSizeOrZero(*cacheSize)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "swift-load: -cache-size: %v\n", err)
 		os.Exit(2)
 	}
-	writeBehindBytes, err := parseSizeSigned(*writeBehind)
-	if err != nil || writeBehindBytes < 0 {
+	writeBehindBytes, err := parseSizeOrZero(*writeBehind)
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "swift-load: -write-behind: bad size %q\n", *writeBehind)
 		os.Exit(2)
 	}
@@ -342,15 +342,13 @@ func runCacheProfile(agents, segments int, scale float64, seed int64, verbose bo
 	}
 	run := func(cached bool) passStats {
 		opts := bench.Options{
-			Agents:    agents,
-			Segments:  segments,
-			Scale:     scale,
-			Seed:      seed,
-			CacheSize: -1,
+			Agents:   agents,
+			Segments: segments,
+			Scale:    scale,
+			Seed:     seed,
 		}
 		if cached {
-			opts.CacheSize = 0 // auto-size from read-ahead
-			opts.ReadAhead = 256 << 10
+			opts.ReadAhead = 256 << 10 // cache auto-sized from read-ahead
 		}
 		if verbose {
 			opts.Logf = func(format string, args ...any) {
@@ -418,17 +416,12 @@ func runCacheProfile(agents, segments int, scale float64, seed int64, verbose bo
 	fmt.Printf("re-read round-trips: off=%d on=%d (%sx fewer)\n", off.pass2, on.pass2, ratio)
 }
 
-func parseSizeSigned(s string) (int64, error) {
-	s = strings.TrimSpace(s)
-	if s == "0" {
+// parseSizeOrZero is parseSize that also accepts "0" (the feature off).
+func parseSizeOrZero(s string) (int64, error) {
+	if strings.TrimSpace(s) == "0" {
 		return 0, nil
 	}
-	neg := strings.HasPrefix(s, "-")
-	v, err := parseSize(strings.TrimPrefix(s, "-"))
-	if neg {
-		v = -v
-	}
-	return v, err
+	return parseSize(s)
 }
 
 func parseSize(s string) (int64, error) {

@@ -108,7 +108,7 @@ func main() {
 	hedge := flag.Bool("hedge", false, "hedge straggling reads: race parity reconstruction against the slowest agent (needs -parity)")
 	syncw := flag.Bool("sync", false, "synchronous writes")
 	readAhead := flag.Int64("readahead", 0, "sequential read-ahead window in bytes (0 = off; enables the block cache)")
-	cacheSize := flag.Int64("cache-size", 0, "client block cache size in bytes (0 = auto when a cache feature is on, negative = off)")
+	cacheSize := flag.Int64("cache-size", 0, "client block cache size in bytes (> 0 turns the cache on; 0 = auto-sized when -readahead or -write-behind turns it on, off otherwise)")
 	writeBehind := flag.Int64("write-behind", 0, "write-behind dirty budget in bytes (0 = write-through)")
 	flag.Usage = usage
 	flag.Parse()

@@ -38,7 +38,7 @@ type Options struct {
 	// ReadAhead enables the client's sequential read-ahead window.
 	ReadAhead int64
 	// CacheSize bounds the client block cache in bytes (0 auto-sizes
-	// when another cache feature is on; negative disables the tier).
+	// when another cache feature is on).
 	CacheSize int64
 	// WriteBehindMax, when > 0, bounds write-behind dirty bytes.
 	WriteBehindMax int64
@@ -48,13 +48,9 @@ type Options struct {
 	Seed int64
 	// HealthInterval, when > 0, starts the client's background health
 	// monitor at this modeled-time period (scaled like the protocol
-	// timers).
+	// timers). Re-admission only reopens sessions: at paper-faithful
+	// Ethernet rates a full rebuild takes minutes of modeled time.
 	HealthInterval time.Duration
-	// HealthRebuild makes re-admission rebuild a returning agent's
-	// fragments from parity first. At paper-faithful Ethernet rates a
-	// full rebuild takes minutes of modeled time, so soak harnesses
-	// usually leave it off and let re-admission just reopen sessions.
-	HealthRebuild bool
 	// MaxRetries overrides the client's no-progress give-up budget
 	// (≈ MaxRetries × RetryTimeout). The default 200 suits measurement
 	// runs where an op must survive deep loss; chaos soaks set it much
@@ -181,10 +177,9 @@ func NewSwiftCluster(opts Options) (*SwiftCluster, error) {
 	cl, err := core.Dial(core.Config{
 		Host:         clientHost,
 		Agents:       addrs,
-		Unit:         unit,
+		StripeUnit:   unit,
 		ParityShards: opts.ParityShards,
 		RequestBytes: reqBytes,
-		WriteWindow:  2,
 		RetryTimeout: scaled(400*time.Millisecond, opts.Scale),
 		MaxRetries:   maxRetries,
 		ReadAhead:    opts.ReadAhead,
@@ -193,6 +188,7 @@ func NewSwiftCluster(opts Options) (*SwiftCluster, error) {
 
 		CacheSize:      opts.CacheSize,
 		WriteBehindMax: opts.WriteBehindMax,
+		HealthInterval: scaled(opts.HealthInterval, opts.Scale),
 		Logf:           opts.Logf,
 		Verbose:        opts.Verbose,
 		Obs:            opts.Obs,
@@ -202,16 +198,6 @@ func NewSwiftCluster(opts Options) (*SwiftCluster, error) {
 		return nil, err
 	}
 	c.Client = cl
-	if opts.HealthInterval > 0 {
-		err = cl.StartMonitor(core.MonitorConfig{
-			Interval: scaled(opts.HealthInterval, opts.Scale),
-			Rebuild:  opts.HealthRebuild && opts.ParityShards > 0,
-		})
-		if err != nil {
-			c.Close()
-			return nil, err
-		}
-	}
 	return c, nil
 }
 

@@ -22,7 +22,7 @@ func dialCacheClient(t *testing.T, c *cluster, name string, mut func(*Config)) *
 	cfg := Config{
 		Host:         h,
 		Agents:       addrs,
-		Unit:         4096,
+		StripeUnit:   4096,
 		RetryTimeout: 30 * time.Millisecond,
 		MaxRetries:   100,
 	}
@@ -376,7 +376,7 @@ func TestCacheLessWriterDeclaresWrites(t *testing.T) {
 	med, ids := testMediator(t, c, 2)
 
 	writer := dialCacheClient(t, c, "nakedwriter", func(cfg *Config) {
-		cfg.CacheSize = -1 // caching off, coherence on
+		// No cache field set: caching off, coherence on.
 		cfg.CacheSync = func(cached []mediator.CachedObject, written []string) ([]mediator.CachedObject, error) {
 			return med.CacheSync(ids[0], cached, written)
 		}

@@ -38,30 +38,41 @@ var (
 	ErrClosed       = errors.New("core: file closed")
 )
 
-// Config describes a client of a set of storage agents.
+// Config configures a client (the distribution agent): the transfer
+// plan it runs (agents, striping unit, redundancy), the protocol's
+// timers, the cache tier, the background health monitor and telemetry.
+// Zero values select defaults; the swift facade re-exports it as
+// swift.Config.
 type Config struct {
-	// Host is the client machine's transport.
+	// Host is the client machine's network attachment.
 	Host transport.Host
-	// Agents lists the storage agents' well-known control addresses.
-	// Their order defines the striping order and must be consistent
-	// across clients of the same objects.
+	// Agents lists the storage agents' control addresses ("host:port").
+	// Order matters: it defines the striping order and must be
+	// consistent across clients of the same objects.
 	Agents []string
-	// Unit is the default striping unit in bytes (default 32 KiB). The
-	// storage mediator overrides it per session when rate requirements
-	// are declared.
-	Unit int64
-	// ParityShards is the number of computed-copy parity units per
-	// stripe row (k); zero disables redundancy. One is the paper's
-	// rotating XOR parity (requires >= 3 agents); values >= 2 select
-	// Reed–Solomon coding and tolerate up to k simultaneous agent
-	// failures (requires >= k+2 agents).
+	// StripeUnit is the striping unit in bytes (default 32 KiB). The
+	// storage mediator picks it per session when rate requirements are
+	// declared (see ApplyPlan).
+	StripeUnit int64
+	// ParityShards selects computed-copy redundancy as an m+k erasure
+	// scheme: the number of rotating parity units per stripe row (k),
+	// each on its own agent. Zero disables redundancy; 1 is the paper's
+	// single XOR computed copy, tolerating one failed agent; 2 or more
+	// selects Reed–Solomon coding tolerating that many simultaneous
+	// agent failures. Requires len(Agents) >= ParityShards+2.
 	ParityShards int
+	// DataShards, when non-zero, asserts the number of data units per
+	// stripe row (m). It is always len(Agents)-ParityShards; Dial
+	// rejects a mismatch so a misconfigured agent list fails loudly
+	// instead of silently changing the layout.
+	DataShards int
+	// SyncWrites makes agents commit each write burst to stable storage
+	// before acknowledging.
+	SyncWrites bool
 	// RequestBytes is the largest read or write burst requested from
-	// one agent at a time (default 57344 = 42 full packets).
+	// one agent at a time (default 57344 = 42 full packets). Negative
+	// values are rejected.
 	RequestBytes int64
-	// WriteWindow is the number of write bursts kept in flight per
-	// agent (default 2).
-	WriteWindow int
 	// RetryTimeout is the base wait for progress on a burst before
 	// resubmitting (default 250ms). Consecutive silent timeouts back off
 	// exponentially (with jitter) up to 8×RetryTimeout, so a dead agent
@@ -71,82 +82,118 @@ type Config struct {
 	// on an agent once roughly MaxRetries×RetryTimeout elapses with no
 	// progress (default 40). Progress refreshes the budget.
 	MaxRetries int
-	// ReadAhead, when > 0, prefetches sequential streams in windows of
-	// this many bytes through the client block cache — the client-side
-	// analogue of the kernel read-ahead the paper's baselines enjoy.
-	// Detected streams get their next window fetched by a background
-	// worker while the application consumes the current one; random
-	// reads bypass it. Setting ReadAhead enables the cache.
+	// ReadAhead fetches sequential reads in windows of this many bytes
+	// (0 disables). Small sequential readers gain large-burst rates;
+	// detected sequential streams are additionally prefetched
+	// asynchronously into the block cache ahead of the reader, while
+	// random reads bypass it.
 	ReadAhead int64
-	// CacheSize bounds the client block cache in bytes. Zero auto-sizes
-	// it when ReadAhead or WriteBehindMax enables the cache; negative
-	// disables caching outright. Setting CacheSize > 0 enables the
-	// cache even without read-ahead (re-reads then hit memory).
+	// CacheSize bounds the client block cache in bytes. The cache is on
+	// when CacheSize, ReadAhead or WriteBehindMax is > 0; zero auto-sizes
+	// it from ReadAhead and WriteBehindMax (at least 8 MiB). With
+	// CacheSize > 0 alone, re-reads hit memory. Negative values are
+	// rejected.
 	CacheSize int64
-	// WriteBehindMax, when > 0, absorbs writes into dirty cache blocks
-	// up to this many bytes and flushes them to the agents in the
-	// background in offset order. Sync remains a full flush barrier; a
-	// failed write-back re-surfaces on the next write or Sync; writers
-	// park once the dirty budget is exceeded. Zero keeps write-through.
+	// WriteBehindMax, when > 0, absorbs writes into the cache and flushes
+	// them to the agents in the background in offset order, bounding
+	// dirty bytes at this budget: writers park once it is exceeded.
+	// Close and Sync still guarantee durability before returning; a
+	// failed write-back re-surfaces on the next write or Sync. Zero
+	// keeps write-through.
 	WriteBehindMax int64
-	// CacheSync, when non-nil, is the mediator cache-coherence hook:
-	// each heartbeat declares the cached objects (with the generations
-	// their images reflect) and the objects written since the last
-	// successful round, and receives back the stale set to drop. Nil
-	// disables coherence (single-client caching).
+	// CacheSync, when non-nil, is the cache-coherence hook: called once
+	// per health round (and on Close) with the cache's resident objects
+	// and this client's recent writes, it returns the entries that are
+	// stale and must be invalidated. Wire a MediatorBroker's CacheSync
+	// here so the mediator tier propagates cross-client invalidations.
 	CacheSync func(cached []mediator.CachedObject, written []string) ([]mediator.CachedObject, error)
-	// SyncWrites asks agents to commit each write burst to stable
-	// storage before acknowledging it.
-	SyncWrites bool
-	// WritePace inserts a delay between outgoing data packets — the
-	// prototype's "small wait loop between write operations" that kept
-	// the SunOS kernel from silently dropping packets. Zero disables.
+	// WritePace inserts a delay between outgoing data packets (the
+	// prototype's kernel-friendly wait loop); Sleep implements it
+	// (default time.Sleep).
 	WritePace time.Duration
-	// Sleep implements WritePace (default time.Sleep). Measured runs
-	// inject the modeled network's scaled sleeper.
-	Sleep func(time.Duration)
-	// Logf receives diagnostics (default: none).
+	Sleep     func(time.Duration)
+	// HealthInterval, when > 0, starts the background health monitor:
+	// every interval it probes all agents, demotes silent ones through the
+	// failure-domain lifecycle (healthy → suspect → down), and re-admits
+	// recovered ones automatically — reopening each open file's sessions
+	// and, with AutoRebuild, reconstructing the agent's fragments from
+	// parity first. Close stops it.
+	HealthInterval time.Duration
+	// AutoRebuild makes re-admission rebuild a returning agent's
+	// fragments from the survivors before it serves reads again
+	// (requires ParityShards > 0).
+	AutoRebuild bool
+	// ScrubInterval, when > 0, runs a background scrub over every open
+	// file at this period: each stripe row is read from all agents,
+	// verified against the integrity envelope and the parity equation,
+	// and (with parity) repaired in place — corrupt units reconstructed
+	// from the surviving units of their row, stale parity recomputed
+	// from the data. Close stops it.
+	ScrubInterval time.Duration
+	// OpTimeout, when > 0, gives every ReadAt/WriteAt a deadline budget.
+	// The remaining budget travels on each request packet, so agents shed
+	// work the client has already abandoned; an op past its budget fails
+	// with ErrDeadline without marking any agent failed.
+	OpTimeout time.Duration
+	// HedgeReads races a parity reconstruction against a straggling agent
+	// once a read burst exceeds twice its p99 latency (requires
+	// ParityShards > 0). Hedges spend the retry budget, so a broadly
+	// slow cluster cannot amplify load.
+	HedgeReads bool
+	// BreakerThreshold consecutive overload signals (pushbacks, retry
+	// give-ups) trip an agent's circuit breaker open for 2s; while open,
+	// parity-protected reads reconstruct around the agent instead of
+	// waiting on it. Default 5.
+	BreakerThreshold int
+	// Heartbeat, when non-nil together with HealthInterval, is invoked
+	// once per health-probe round — the hook for renewing a storage
+	// mediator session lease (mediator.Renew) while this client lives.
+	Heartbeat func()
+	// Logf receives diagnostics.
 	Logf func(format string, args ...any)
-	// Verbose additionally routes burst-level trace events (timeouts,
-	// resends, failovers, lifecycle transitions) to Logf, prefixed
-	// "trace:". Without it, events only land in the trace ring.
+	// Verbose additionally routes burst-level trace events (failovers,
+	// timeouts, lifecycle transitions) to Logf, prefixed "trace:".
 	Verbose bool
 	// Obs, when non-nil, is the metric registry the client registers its
-	// telemetry in — so a process can aggregate client, transport and
-	// mediator metrics behind one /metrics endpoint. Nil gets a private
-	// registry (telemetry is always recorded).
+	// telemetry in, for export over HTTP (see internal/obs.Serve). Nil
+	// gets a private registry; telemetry is always recorded and available
+	// through Stats.
 	Obs *obs.Registry
-	// Tracer, when non-nil, mints distributed-tracing spans: every client
-	// operation roots a span tree, per-agent work opens children, and the
-	// context rides control packets to agents and mediators. Nil disables
-	// tracing at zero cost on the per-packet path.
+	// TraceRate enables distributed tracing: every client operation
+	// (open, read, write, sync, scrub) records a span tree across the
+	// client's internal layers and — over the wire — the storage agents
+	// and mediator replicas serving it. Rate is the head-sampling
+	// probability in [0,1]; independent of it, the tail sampler keeps
+	// ops that errored, retried (timeouts, resends, repairs, failovers),
+	// or ran slower than the operation's live p99. Zero disables tracing
+	// with no per-packet cost.
+	TraceRate float64
+	// Tracer, when non-nil, overrides TraceRate: the client joins an
+	// existing tracer (shared with in-process agents or mediators, so
+	// one collector assembles the full cross-layer tree).
 	Tracer *obs.Tracer
-	// OpTimeout, when > 0, gives every read and write operation a deadline
-	// budget. The remaining budget rides each request in the version-gated
-	// deadline extension so agents can shed work whose client has already
-	// given up. Zero (the default) disables deadline propagation; requests
-	// stay byte-identical to the version-1 format.
-	OpTimeout time.Duration
-	// HedgeReads enables hedged reads with parity: a read burst stalled
-	// past HedgeMultiplier× the agent's p99 burst latency is abandoned and
-	// its extents reconstructed from the other agents' shards, bounded by
-	// the retry budget. Default off.
-	HedgeReads bool
-	// HedgeMultiplier scales the p99-derived hedge delay (default 2).
-	HedgeMultiplier float64
-	// RetryBudgetCap is the retry token bucket's capacity (default 1000).
-	RetryBudgetCap float64
-	// RetryBudgetRatio is the fraction of a token each fresh operation
-	// deposits — sustained retries are capped at this fraction of fresh
-	// traffic (default 0.5).
-	RetryBudgetRatio float64
-	// BreakerThreshold is the number of consecutive pushbacks or retry
-	// give-ups that trip an agent's circuit breaker open (default 5).
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped breaker stays open before
-	// admitting a half-open trial burst (default 2s).
-	BreakerCooldown time.Duration
 }
+
+// Protocol and overload-control tuning, the same for every client.
+const (
+	// writeWindow is the number of write bursts kept in flight per agent.
+	writeWindow = 2
+	// probeRetries sizes each health probe's retry budget: roughly
+	// 2×RetryTimeout before an agent is written off for the round.
+	probeRetries = 2
+	// hedgeMultiplier scales an agent's p99 read-burst latency into the
+	// hedge delay.
+	hedgeMultiplier = 2
+	// retryBudgetCap and retryBudgetRatio bound retry amplification: a
+	// token bucket holding at most retryBudgetCap tokens, refilled by
+	// retryBudgetRatio per fresh operation, pays for every failover
+	// retry and hedge.
+	retryBudgetCap   = 1000
+	retryBudgetRatio = 0.5
+	// breakerCooldown is how long a tripped breaker stays open before
+	// admitting a half-open trial burst.
+	breakerCooldown = 2 * time.Second
+)
 
 func (c *Config) fill() error {
 	if c.Host == nil {
@@ -155,14 +202,21 @@ func (c *Config) fill() error {
 	if len(c.Agents) == 0 {
 		return errors.New("core: config needs at least one agent")
 	}
-	if c.Unit == 0 {
-		c.Unit = 32 * 1024
+	if k := c.ParityShards; c.DataShards > 0 && c.DataShards+k != len(c.Agents) {
+		return fmt.Errorf("core: %d data + %d parity shards need %d agents, have %d",
+			c.DataShards, k, c.DataShards+k, len(c.Agents))
+	}
+	if c.RequestBytes < 0 {
+		return fmt.Errorf("core: negative RequestBytes %d", c.RequestBytes)
+	}
+	if c.CacheSize < 0 {
+		return fmt.Errorf("core: negative CacheSize %d", c.CacheSize)
+	}
+	if c.StripeUnit == 0 {
+		c.StripeUnit = 32 * 1024
 	}
 	if c.RequestBytes == 0 {
 		c.RequestBytes = 42 * wire.MaxPayload
-	}
-	if c.WriteWindow == 0 {
-		c.WriteWindow = 2
 	}
 	if c.RetryTimeout == 0 {
 		c.RetryTimeout = 250 * time.Millisecond
@@ -176,36 +230,30 @@ func (c *Config) fill() error {
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
-	if c.HedgeMultiplier == 0 {
-		c.HedgeMultiplier = 2
-	}
-	if c.RetryBudgetCap == 0 {
-		c.RetryBudgetCap = 1000
-	}
-	if c.RetryBudgetRatio == 0 {
-		c.RetryBudgetRatio = 0.5
-	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 5
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 2 * time.Second
 	}
 	return c.layout().Validate()
 }
 
+// ApplyPlan configures the client from an admitted transfer plan: agent
+// set (striping order), striping unit, and redundancy scheme.
+func (c *Config) ApplyPlan(p *mediator.Plan) {
+	c.Agents = append([]string(nil), p.Addrs...)
+	c.StripeUnit = p.Unit
+	c.ParityShards = p.ParityShards
+	c.DataShards = len(p.Addrs) - p.ParityShards
+}
+
 // cacheEnabled reports whether the client runs the block cache tier.
 func (c *Config) cacheEnabled() bool {
-	if c.CacheSize < 0 {
-		return false
-	}
 	return c.CacheSize > 0 || c.ReadAhead > 0 || c.WriteBehindMax > 0
 }
 
 // layout derives the striping layout from the filled config.
 func (c *Config) layout() stripe.Layout {
 	return stripe.Layout{
-		Unit:        c.Unit,
+		Unit:        c.StripeUnit,
 		Agents:      len(c.Agents),
 		ParityUnits: c.ParityShards,
 	}
@@ -224,10 +272,9 @@ type Client struct {
 	files  map[*File]struct{}   // open files, for automatic re-admission; guarded by mu
 	req    atomic.Uint32
 
-	// Background health monitor (see health.go).
-	monCfg  MonitorConfig
-	monStop chan struct{}
-	monDone chan struct{}
+	// Background health and scrub loops (see health.go).
+	monStop chan struct{}  // closed to stop them; nil when none run; guarded by mu
+	monWG   sync.WaitGroup // the running loops
 
 	metrics   Metrics
 	tel       *telemetry
@@ -273,8 +320,9 @@ type Metrics struct {
 	BreakerTrips  atomic.Int64 // per-agent circuit breakers tripped open
 }
 
-// Dial creates a client. It performs no network traffic; agents are
-// contacted when objects are opened.
+// Dial creates a client and starts the background loops cfg asks for
+// (HealthInterval, ScrubInterval); Close stops them. Dial itself sends
+// nothing: agents are contacted when objects are opened or probed.
 func Dial(cfg Config) (*Client, error) {
 	if err := cfg.fill(); err != nil {
 		return nil, err
@@ -290,7 +338,7 @@ func Dial(cfg Config) (*Client, error) {
 		ctl:      ctl,
 		health:   make([]agentHealth, len(cfg.Agents)),
 		files:    make(map[*File]struct{}),
-		budget:   newTokenBucket(cfg.RetryBudgetCap, cfg.RetryBudgetRatio),
+		budget:   newTokenBucket(retryBudgetCap, retryBudgetRatio),
 		breakers: make([]breaker, len(cfg.Agents)),
 	}
 	if k := c.layout.ParityUnits; k > 0 {
@@ -303,6 +351,10 @@ func Dial(cfg Config) (*Client, error) {
 	c.tel = newTelemetry(cfg.Obs, cfg.Agents, &c.metrics, c.codec, c.budget)
 	c.initCache()
 	c.tracer = cfg.Tracer
+	if c.tracer == nil {
+		c.tracer = obs.NewTracer(obs.TracerConfig{Rate: cfg.TraceRate})
+		c.tracer.Register(cfg.Obs)
+	}
 	if cfg.Verbose {
 		logf := c.cfg.Logf
 		// Logf implementations may block (files, test loggers); the
@@ -310,6 +362,7 @@ func Dial(cfg Config) (*Client, error) {
 		// path, dropping on overflow instead of stalling a transfer.
 		c.traceStop = c.tel.trace.SetBufferedSink(func(e obs.Event) { logf("trace: %s", e.String()) }, 256)
 	}
+	c.startMonitor()
 	return c, nil
 }
 
@@ -338,10 +391,11 @@ func (c *Client) ECStats() ec.Stats {
 	return c.codec.Stats()
 }
 
-// Close stops the health monitor (if running) and releases the client's
-// control endpoint. Open files remain usable until closed individually.
+// Close stops the health and scrub loops (if running) and releases the
+// client's control endpoint. Open files remain usable until closed
+// individually.
 func (c *Client) Close() error {
-	c.StopMonitor()
+	c.stopMonitor()
 	// Declare any writes still pending a coherence round, then stop the
 	// cache workers (the flusher drains on its way out).
 	c.CoherenceSync()

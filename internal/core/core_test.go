@@ -31,8 +31,12 @@ type clusterOpts struct {
 	unit         int64
 	loss         float64
 	syncW        bool
-	window       int
 	reqBytes     int64
+
+	// healthInterval and scrubInterval start the background health and
+	// scrub loops at Dial.
+	healthInterval time.Duration
+	scrubInterval  time.Duration
 
 	// integrityBS wraps each agent's store in an integrity envelope with
 	// the given block size. c.stores keeps the raw inner Mems, so tests
@@ -80,13 +84,15 @@ func newCluster(t *testing.T, o clusterOpts) *cluster {
 	cl, err := Dial(Config{
 		Host:         ch,
 		Agents:       addrs,
-		Unit:         o.unit,
+		StripeUnit:   o.unit,
 		ParityShards: o.parityShards,
 		SyncWrites:   o.syncW,
-		WriteWindow:  o.window,
 		RequestBytes: o.reqBytes,
 		RetryTimeout: 30 * time.Millisecond,
 		MaxRetries:   100,
+
+		HealthInterval: o.healthInterval,
+		ScrubInterval:  o.scrubInterval,
 	})
 	if err != nil {
 		t.Fatalf("dial: %v", err)
@@ -432,7 +438,7 @@ func TestReorderedNetworkRoundTrip(t *testing.T) {
 	}
 	ch := n.MustHost("rclient", memnet.HostConfig{}, seg)
 	cl, err := Dial(Config{
-		Host: ch, Agents: addrs, Unit: 4096,
+		Host: ch, Agents: addrs, StripeUnit: 4096,
 		RetryTimeout: 40 * time.Millisecond, MaxRetries: 100,
 	})
 	if err != nil {

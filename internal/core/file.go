@@ -954,7 +954,7 @@ func (f *File) runWriteBursts(s *agentSession, bursts []span, fill func(localOff
 
 	for next < len(bursts) || len(pending) > 0 {
 		// Keep the window full.
-		for len(pending) < cfg.WriteWindow && next < len(bursts) {
+		for len(pending) < writeWindow && next < len(bursts) {
 			sp := bursts[next]
 			next++
 			now := time.Now()

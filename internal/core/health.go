@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // This file implements the client's automatic failure-domain lifecycle.
 //
@@ -17,7 +14,7 @@ import (
 // Attributable errors (ErrRetriesSpent, ErrAgentDown from a specific
 // agent) feed the lifecycle with no caller intervention: the data path
 // reports them via noteFailure as it fails over. A background health
-// monitor (StartMonitor) probes non-healthy agents, and on recovery
+// monitor (Config.HealthInterval) probes non-healthy agents, and on recovery
 // re-opens every open file's session on that agent — handles die with the
 // agent process, so fresh ones are negotiated — optionally rebuilds the
 // agent's fragments from parity, and returns the agent to service.
@@ -121,114 +118,70 @@ func (c *Client) noteFailure(i int, err error) {
 	}
 }
 
-// MonitorConfig tunes the background health monitor.
-type MonitorConfig struct {
-	// Interval is the probe period (default 500ms).
-	Interval time.Duration
-	// ProbeRetries sizes each probe's retry budget (default 2, i.e.
-	// roughly 2×RetryTimeout per probe before an agent is written off
-	// for the round).
-	ProbeRetries int
-	// Rebuild, with parity enabled, reconstructs a re-admitted agent's
-	// fragments from the survivors before the agent serves reads again,
-	// so units written degraded while it was out are never served stale.
-	Rebuild bool
-	// ScrubInterval, when > 0, runs a background scrub-and-repair pass
-	// over every open file at this period (see Client.ScrubOnce). Zero
-	// disables background scrubbing.
-	ScrubInterval time.Duration
-	// Heartbeat, when non-nil, is called once per probe round — the hook
-	// the swift facade uses to renew its mediator session lease while the
-	// client is alive.
-	Heartbeat func()
-}
-
-func (mc *MonitorConfig) fill() {
-	if mc.Interval == 0 {
-		mc.Interval = 500 * time.Millisecond
-	}
-	if mc.ProbeRetries == 0 {
-		mc.ProbeRetries = 2
-	}
-}
-
-// StartMonitor launches the background health monitor: every Interval it
-// probes every agent, demotes silent ones (healthy→suspect→down) even
-// when no traffic is flowing, and re-admits recovered ones — reopening
-// per-file sessions and, with Rebuild set, reconstructing their fragments
-// first. Stop with StopMonitor or Client.Close.
-func (c *Client) StartMonitor(mc MonitorConfig) error {
-	mc.fill()
+// startMonitor launches the background loops the config asks for. With
+// HealthInterval, every interval it runs the heartbeat hook, a cache
+// coherence round and a probe round, which demotes silent agents
+// (healthy→suspect→down) even when no traffic is flowing and re-admits
+// recovered ones. With ScrubInterval, an independent loop scrubs every
+// open file at that period. No-op when the loops already run or neither
+// interval is set.
+func (c *Client) startMonitor() {
 	c.mu.Lock()
-	if c.monStop != nil {
-		c.mu.Unlock()
-		return nil // already running
+	defer c.mu.Unlock()
+	if c.monStop != nil || c.cfg.HealthInterval <= 0 && c.cfg.ScrubInterval <= 0 {
+		return
 	}
 	stop := make(chan struct{})
-	done := make(chan struct{})
-	c.monCfg = mc
 	c.monStop = stop
-	c.monDone = done
-	c.mu.Unlock()
-	var wg sync.WaitGroup
-	wg.Add(1)
+	if d := c.cfg.HealthInterval; d > 0 {
+		c.every(stop, d, func() {
+			if c.cfg.Heartbeat != nil {
+				c.cfg.Heartbeat()
+			}
+			// Cache coherence rides the heartbeat cadence: declare
+			// what we cache and wrote, drop what went stale.
+			c.CoherenceSync()
+			c.ProbeOnce()
+		})
+	}
+	if d := c.cfg.ScrubInterval; d > 0 {
+		c.every(stop, d, func() {
+			if rep := c.ScrubOnce(); !rep.Clean() {
+				c.cfg.Logf("core: background scrub: %s", rep)
+			}
+		})
+	}
+}
+
+// every runs fn at each tick of period d until stop closes.
+func (c *Client) every(stop <-chan struct{}, d time.Duration, fn func()) {
+	c.monWG.Add(1)
 	go func() {
-		defer wg.Done()
-		t := time.NewTicker(mc.Interval)
+		defer c.monWG.Done()
+		t := time.NewTicker(d)
 		defer t.Stop()
 		for {
 			select {
 			case <-stop:
 				return
 			case <-t.C:
-				if mc.Heartbeat != nil {
-					mc.Heartbeat()
-				}
-				// Cache coherence rides the heartbeat cadence: declare
-				// what we cache and wrote, drop what went stale.
-				c.CoherenceSync()
-				c.ProbeOnce()
+				fn()
 			}
 		}
 	}()
-	if mc.ScrubInterval > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			t := time.NewTicker(mc.ScrubInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					rep := c.ScrubOnce()
-					if !rep.Clean() {
-						c.cfg.Logf("core: background scrub: %s", rep)
-					}
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(done)
-	}()
-	return nil
 }
 
-// StopMonitor stops the background health monitor, if running, and waits
-// for its current round to finish.
-func (c *Client) StopMonitor() {
+// stopMonitor stops the background loops, if running, and waits for
+// their current rounds to finish.
+func (c *Client) stopMonitor() {
 	c.mu.Lock()
-	stop, done := c.monStop, c.monDone
-	c.monStop, c.monDone = nil, nil
+	stop := c.monStop
+	c.monStop = nil
 	c.mu.Unlock()
-	if stop == nil {
-		return
+	if stop != nil {
+		close(stop)
 	}
-	close(stop)
-	<-done
+	c.monWG.Wait()
 }
 
 // ProbeOnce runs one synchronous health round: it pings every agent
@@ -236,17 +189,12 @@ func (c *Client) StopMonitor() {
 // agents, and returns the resulting snapshot. The monitor calls it on a
 // timer; swiftctl's health command calls it directly.
 func (c *Client) ProbeOnce() []AgentHealth {
-	c.mu.Lock()
-	mc := c.monCfg
-	c.mu.Unlock()
-	mc.fill()
-
 	type verdict struct{ ok bool }
 	verdicts := make([]verdict, len(c.cfg.Agents))
 	var wgDone = make(chan int, len(c.cfg.Agents))
 	for i, addr := range c.cfg.Agents {
 		go func(i int, addr string) {
-			_, _, err := c.probeAgent(addr, mc.ProbeRetries)
+			_, _, err := c.probeAgent(addr, probeRetries)
 			verdicts[i] = verdict{ok: err == nil}
 			wgDone <- i
 		}(i, addr)
@@ -261,7 +209,7 @@ func (c *Client) ProbeOnce() []AgentHealth {
 		c.mu.Unlock()
 		switch {
 		case verdicts[i].ok && state != StateHealthy:
-			c.readmit(i, mc.Rebuild)
+			c.readmit(i, c.cfg.AutoRebuild)
 		case !verdicts[i].ok:
 			c.mu.Lock()
 			switch state {

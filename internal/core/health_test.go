@@ -133,12 +133,9 @@ func TestMonitorAutoReadmitWithRebuild(t *testing.T) {
 
 	// Restart the agent and let the monitor find it.
 	restartAgent(t, c, 2)
-	if err := c.client.StartMonitor(MonitorConfig{
-		Interval: 15 * time.Millisecond,
-		Rebuild:  true,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	c.client.cfg.HealthInterval = 15 * time.Millisecond
+	c.client.cfg.AutoRebuild = true
+	c.client.startMonitor()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if h := c.client.Health()[2]; h.State == StateHealthy {
@@ -149,7 +146,7 @@ func TestMonitorAutoReadmitWithRebuild(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	c.client.StopMonitor()
+	c.client.stopMonitor()
 
 	// The rebuilt fragment must be consistent with the degraded writes:
 	// a scrub finds nothing, and the healthy-path read returns the new
@@ -207,10 +204,7 @@ func TestReadmitKeepsLiveSessionWhenRebuildStalls(t *testing.T) {
 		} else {
 			restartAgent(t, c, 3)
 		}
-		if err := c.client.StartMonitor(MonitorConfig{Interval: time.Hour, Rebuild: true}); err != nil {
-			t.Fatal(err)
-		}
-		defer c.client.StopMonitor()
+		c.client.cfg.AutoRebuild = true
 		for round := 0; round < 2; round++ {
 			c.client.ProbeOnce()
 		}
@@ -241,25 +235,52 @@ func TestReadmitKeepsLiveSessionWhenRebuildStalls(t *testing.T) {
 	}
 }
 
-// TestMonitorStartStopIdempotent: the monitor can be started once, start
-// is a no-op while running, and stop is safe to repeat.
+// TestMonitorStartStopIdempotent: Dial starts the monitor from
+// Config.HealthInterval, it leaves a healthy cluster healthy, and Close
+// stops it and is safe to repeat. leakcheck proves the loop exited.
 func TestMonitorStartStopIdempotent(t *testing.T) {
-	c := newCluster(t, clusterOpts{})
-	if err := c.client.StartMonitor(MonitorConfig{Interval: 10 * time.Millisecond}); err != nil {
-		t.Fatal(err)
+	c := newCluster(t, clusterOpts{healthInterval: 10 * time.Millisecond})
+	// Three probe rounds over the three agents.
+	deadline := time.Now().Add(5 * time.Second)
+	for c.client.MetricsSnapshot().Probes < 9 {
+		if time.Now().After(deadline) {
+			t.Fatalf("monitor sent %d probes in 5s", c.client.MetricsSnapshot().Probes)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	if err := c.client.StartMonitor(MonitorConfig{Interval: 10 * time.Millisecond}); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(30 * time.Millisecond)
-	c.client.StopMonitor()
-	c.client.StopMonitor()
 	for i, h := range c.client.Health() {
 		if h.State != StateHealthy {
 			t.Fatalf("agent %d demoted by monitor on a healthy cluster: %+v", i, h)
 		}
 	}
-	if c.client.MetricsSnapshot().Probes == 0 {
-		t.Fatal("monitor sent no probes")
+	if err := c.client.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.client.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestScrubLoopRunsWithoutHealthInterval: ScrubInterval starts its own
+// loop; it does not need the health monitor running.
+func TestScrubLoopRunsWithoutHealthInterval(t *testing.T) {
+	c := newCluster(t, clusterOpts{parityShards: 1, scrubInterval: 10 * time.Millisecond})
+	f, err := c.client.Open("obj", OpenFlags{Create: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if _, err := f.WriteAt(randBytes(20_000, 45), 0); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for c.client.MetricsSnapshot().ScrubRows == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no background scrub pass with ScrubInterval set and HealthInterval 0")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := c.client.MetricsSnapshot().Probes; n != 0 {
+		t.Fatalf("health monitor probed %d times with HealthInterval 0", n)
 	}
 }

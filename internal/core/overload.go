@@ -218,7 +218,7 @@ func (c *Client) noteOverload(i int, why string) {
 	if i < 0 || i >= len(c.breakers) {
 		return
 	}
-	from, to, changed := c.breakers[i].strike(time.Now(), c.cfg.BreakerThreshold, c.cfg.BreakerCooldown)
+	from, to, changed := c.breakers[i].strike(time.Now(), c.cfg.BreakerThreshold, breakerCooldown)
 	if !changed {
 		return
 	}
@@ -253,7 +253,7 @@ func (c *Client) noteAgentOK(i int) {
 // floored at the base retry timeout so a cold histogram cannot cause
 // hair-trigger hedging.
 func (c *Client) hedgeDelay(i int) time.Duration {
-	d := time.Duration(float64(c.tel.agent(i).readBurstLat.Percentile(99)) * c.cfg.HedgeMultiplier)
+	d := time.Duration(float64(c.tel.agent(i).readBurstLat.Percentile(99)) * hedgeMultiplier)
 	if d < c.cfg.RetryTimeout {
 		d = c.cfg.RetryTimeout
 	}

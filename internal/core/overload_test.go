@@ -146,7 +146,7 @@ func newOverloadCluster(t *testing.T, mutate func(*Config)) *cluster {
 	cfg := Config{
 		Host:         ch,
 		Agents:       addrs,
-		Unit:         4096,
+		StripeUnit:   4096,
 		ParityShards: 1,
 		RetryTimeout: 20 * time.Millisecond,
 		MaxRetries:   5,

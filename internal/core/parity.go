@@ -364,7 +364,7 @@ func (f *File) RepairRow(r int64) error {
 // hold for this file and writes it back to that agent, then trims the
 // fragment to its expected size. A session to the agent must exist; the
 // health monitor performs this automatically on re-admission when
-// MonitorConfig.Rebuild is set. With k >= 2 the rebuild succeeds even
+// Config.AutoRebuild is set. With k >= 2 the rebuild succeeds even
 // while other agents (up to k-1 of them) are still down.
 func (f *File) Rebuild(idx int) error {
 	f.mu.Lock()

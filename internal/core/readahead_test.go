@@ -23,7 +23,7 @@ func raCluster(t *testing.T, readAhead int64) (*cluster, *Client) {
 	}
 	h := c.net.MustHost("ra-client", memnet.HostConfig{}, c.seg)
 	cl, err := Dial(Config{
-		Host: h, Agents: addrs, Unit: 4096,
+		Host: h, Agents: addrs, StripeUnit: 4096,
 		RetryTimeout: 30 * time.Millisecond, MaxRetries: 100,
 		ReadAhead: readAhead,
 	})

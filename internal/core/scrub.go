@@ -17,8 +17,8 @@ import (
 // when repair is enabled — heals what it finds: up to k corrupt units
 // per row are reconstructed through the codec from the surviving units;
 // a parity mismatch with trusted data is fixed by re-encoding the stale
-// parity units. The health monitor drives it periodically
-// (MonitorConfig.ScrubInterval); swiftctl scrub drives it on demand.
+// parity units. A background loop drives it periodically
+// (Config.ScrubInterval); swiftctl scrub drives it on demand.
 
 // ScrubOptions tune one scrub pass.
 type ScrubOptions struct {
@@ -291,7 +291,7 @@ func (c *Client) agentState(i int) AgentState {
 }
 
 // ScrubOnce scrubs every open file once, repairing (when parity is
-// enabled) what it finds. The health monitor calls it on the
+// enabled) what it finds. The background scrub loop calls it on the
 // ScrubInterval tick; it is also safe to call directly.
 func (c *Client) ScrubOnce() ScrubReport {
 	var rep ScrubReport

@@ -152,7 +152,7 @@ func newClusterWithObs(t *testing.T, reg *obs.Registry) *cluster {
 	cl, err := Dial(Config{
 		Host:         h,
 		Agents:       addrs,
-		Unit:         4096,
+		StripeUnit:   4096,
 		RetryTimeout: c.client.cfg.RetryTimeout,
 		MaxRetries:   c.client.cfg.MaxRetries,
 		Obs:          reg,

@@ -39,9 +39,6 @@
 package swift
 
 import (
-	"fmt"
-	"time"
-
 	"swift/internal/agent"
 	"swift/internal/cache"
 	"swift/internal/core"
@@ -52,131 +49,9 @@ import (
 	"swift/internal/transport"
 )
 
-// Config configures a Swift client (the distribution agent).
-type Config struct {
-	// Host is the client machine's network attachment.
-	Host transport.Host
-	// Agents lists the storage agents' control addresses ("host:port").
-	// Order matters: it defines the striping order.
-	Agents []string
-	// StripeUnit is the striping unit in bytes (default 32 KiB).
-	StripeUnit int64
-	// ParityShards selects computed-copy redundancy as an m+k erasure
-	// scheme: the number of rotating parity units per stripe row (k),
-	// each on its own agent. Zero disables redundancy; 1 is the paper's
-	// single XOR computed copy, tolerating one failed agent; 2 or more
-	// selects Reed–Solomon coding tolerating that many simultaneous
-	// agent failures. Requires len(Agents) >= ParityShards+2.
-	ParityShards int
-	// DataShards, when non-zero, asserts the number of data units per
-	// stripe row (m). It is always len(Agents)-ParityShards; Dial
-	// rejects a mismatch so a misconfigured agent list fails loudly
-	// instead of silently changing the layout.
-	DataShards int
-	// SyncWrites makes agents commit each write burst to stable storage
-	// before acknowledging.
-	SyncWrites bool
-	// RequestBytes, WriteWindow, RetryTimeout and MaxRetries tune the
-	// data-transfer protocol; zero values select defaults.
-	RequestBytes int64
-	WriteWindow  int
-	RetryTimeout time.Duration
-	MaxRetries   int
-	// ReadAhead fetches sequential reads in windows of this many bytes
-	// (0 disables). Small sequential readers gain large-burst rates;
-	// detected sequential streams are additionally prefetched
-	// asynchronously into the block cache ahead of the reader.
-	ReadAhead int64
-	// CacheSize bounds the client block cache in bytes. Zero auto-sizes
-	// from ReadAhead and WriteBehindMax (at least 8 MiB when any caching
-	// feature is on); negative disables the cache tier entirely.
-	CacheSize int64
-	// WriteBehindMax, when > 0, absorbs writes into the cache and flushes
-	// them to the agents in the background, bounding dirty bytes at this
-	// budget. Sync, Seek-free sequential writers gain full-window bursts;
-	// Close and Sync still guarantee durability before returning.
-	WriteBehindMax int64
-	// CacheSync, when non-nil, is the cache-coherence hook: called once
-	// per health round (and on Close) with the cache's resident objects
-	// and this client's recent writes, it returns the entries that are
-	// stale and must be invalidated. Wire a MediatorBroker's CacheSync
-	// here so the mediator tier propagates cross-client invalidations.
-	CacheSync func(cached []CachedObject, written []string) ([]CachedObject, error)
-	// WritePace inserts a delay between outgoing data packets (the
-	// prototype's kernel-friendly wait loop); Sleep implements it.
-	WritePace time.Duration
-	Sleep     func(time.Duration)
-	// HealthInterval, when > 0, starts the background health monitor:
-	// every interval it probes all agents, demotes silent ones through the
-	// failure-domain lifecycle (healthy → suspect → down), and re-admits
-	// recovered ones automatically — reopening each open file's sessions
-	// and, with AutoRebuild, reconstructing the agent's fragments from
-	// parity first.
-	HealthInterval time.Duration
-	// AutoRebuild makes re-admission rebuild a returning agent's
-	// fragments from the survivors before it serves reads again
-	// (requires ParityShards > 0).
-	AutoRebuild bool
-	// ScrubInterval, when > 0 together with HealthInterval, runs a
-	// background scrub over every open file at this period: each stripe
-	// row is read from all agents, verified against the integrity
-	// envelope and the parity equation, and (with parity) repaired in
-	// place — corrupt units rewritten from the XOR of their peers, stale
-	// parity recomputed from the data.
-	ScrubInterval time.Duration
-	// OpTimeout, when > 0, gives every ReadAt/WriteAt a deadline budget.
-	// The remaining budget travels on each request packet, so agents shed
-	// work the client has already abandoned; an op past its budget fails
-	// with core.ErrDeadline without marking any agent failed.
-	OpTimeout time.Duration
-	// HedgeReads races a parity reconstruction against a straggling agent
-	// once a read burst exceeds a p99-derived hedge delay (requires
-	// ParityShards > 0). Hedges spend the retry budget, so a broadly slow cluster
-	// cannot amplify load.
-	HedgeReads bool
-	// HedgeMultiplier scales the observed p99 read-burst latency into the
-	// hedge delay (default 2).
-	HedgeMultiplier float64
-	// RetryBudgetCap and RetryBudgetRatio bound retry amplification: a
-	// token bucket holding at most Cap tokens, refilled by Ratio per
-	// fresh operation, pays for every failover retry and hedge. Defaults
-	// 1000 and 0.5.
-	RetryBudgetCap   float64
-	RetryBudgetRatio float64
-	// BreakerThreshold consecutive overload signals (pushbacks, retry
-	// give-ups) trip an agent's circuit breaker open for BreakerCooldown;
-	// while open, parity-protected reads reconstruct around the agent
-	// instead of waiting on it. Defaults 5 and 2s.
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// Heartbeat, when non-nil together with HealthInterval, is invoked
-	// once per health-probe round — the hook for renewing a storage
-	// mediator session lease (mediator.Renew) while this client lives.
-	Heartbeat func()
-	// Logf receives diagnostics.
-	Logf func(format string, args ...any)
-	// Verbose additionally routes burst-level trace events (failovers,
-	// timeouts, lifecycle transitions) to Logf, prefixed "trace:".
-	Verbose bool
-	// Obs, when non-nil, is the metric registry the client registers its
-	// telemetry in, for export over HTTP (see internal/obs.Serve). Nil
-	// gets a private registry; telemetry is always recorded and available
-	// through FS.Stats.
-	Obs *obs.Registry
-	// TraceRate enables distributed tracing: every client operation
-	// (open, read, write, sync, scrub) records a span tree across the
-	// client's internal layers and — over the wire — the storage agents
-	// and mediator replicas serving it. Rate is the head-sampling
-	// probability in [0,1]; independent of it, the tail sampler keeps
-	// ops that errored, retried (timeouts, resends, repairs, failovers),
-	// or ran slower than the operation's live p99. Zero disables tracing
-	// with no per-packet cost.
-	TraceRate float64
-	// Tracer, when non-nil, overrides TraceRate: the client joins an
-	// existing tracer (shared with in-process agents or mediators, so
-	// one collector assembles the full cross-layer tree).
-	Tracer *obs.Tracer
-}
+// Config configures a Swift client (the distribution agent); see
+// core.Config for every field.
+type Config = core.Config
 
 // FS is a handle to a striped object store: the Swift distribution agent.
 type FS struct {
@@ -190,61 +65,12 @@ type File = core.File
 // OpenFlags control FS.OpenFile.
 type OpenFlags = core.OpenFlags
 
-// Dial creates a Swift client for the given agent set.
+// Dial creates a Swift client for the given agent set and starts the
+// background health and scrub loops the config asks for.
 func Dial(cfg Config) (*FS, error) {
-	if k := cfg.ParityShards; cfg.DataShards > 0 && cfg.DataShards+k != len(cfg.Agents) {
-		return nil, fmt.Errorf("swift: %d data + %d parity shards need %d agents, have %d",
-			cfg.DataShards, k, cfg.DataShards+k, len(cfg.Agents))
-	}
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = obs.NewTracer(obs.TracerConfig{Rate: cfg.TraceRate})
-		tracer.Register(cfg.Obs)
-	}
-	c, err := core.Dial(core.Config{
-		Host:         cfg.Host,
-		Agents:       cfg.Agents,
-		Unit:         cfg.StripeUnit,
-		ParityShards: cfg.ParityShards,
-		SyncWrites:   cfg.SyncWrites,
-		RequestBytes: cfg.RequestBytes,
-		WriteWindow:  cfg.WriteWindow,
-		RetryTimeout: cfg.RetryTimeout,
-		MaxRetries:   cfg.MaxRetries,
-		ReadAhead:    cfg.ReadAhead,
-		WritePace:    cfg.WritePace,
-		Sleep:        cfg.Sleep,
-
-		CacheSize:      cfg.CacheSize,
-		WriteBehindMax: cfg.WriteBehindMax,
-		CacheSync:      cfg.CacheSync,
-
-		OpTimeout:        cfg.OpTimeout,
-		HedgeReads:       cfg.HedgeReads,
-		HedgeMultiplier:  cfg.HedgeMultiplier,
-		RetryBudgetCap:   cfg.RetryBudgetCap,
-		RetryBudgetRatio: cfg.RetryBudgetRatio,
-		BreakerThreshold: cfg.BreakerThreshold,
-		BreakerCooldown:  cfg.BreakerCooldown,
-
-		Logf:    cfg.Logf,
-		Verbose: cfg.Verbose,
-		Obs:     cfg.Obs,
-		Tracer:  tracer,
-	})
+	c, err := core.Dial(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.HealthInterval > 0 {
-		if err := c.StartMonitor(core.MonitorConfig{
-			Interval:      cfg.HealthInterval,
-			Rebuild:       cfg.AutoRebuild,
-			ScrubInterval: cfg.ScrubInterval,
-			Heartbeat:     cfg.Heartbeat,
-		}); err != nil {
-			c.Close()
-			return nil, err
-		}
 	}
 	return &FS{c: c}, nil
 }
@@ -548,15 +374,6 @@ type MediatorBroker = core.MediatorBroker
 // health monitor renews the session lease while the client lives.
 func NewMediatorBroker(cfg BrokerConfig) (*MediatorBroker, error) {
 	return core.NewMediatorBroker(cfg)
-}
-
-// ApplyPlan configures the client from an admitted transfer plan: agent
-// set (striping order), striping unit, and redundancy scheme.
-func (c *Config) ApplyPlan(p *TransferPlan) {
-	c.Agents = append([]string(nil), p.Addrs...)
-	c.StripeUnit = p.Unit
-	c.ParityShards = p.ParityShards
-	c.DataShards = len(p.Addrs) - p.ParityShards
 }
 
 // AgentConfig configures a storage agent server.

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"swift"
+	"swift/internal/obs"
 	"swift/internal/transport/udpnet"
 )
 
@@ -35,9 +37,33 @@ func startCluster(t *testing.T, n int, cfg swift.Config) *swift.FS {
 	return fs
 }
 
+// TestFacadeOverUDP round-trips an object through the facade, untraced
+// and with every op traced: Dial builds the tracer from TraceRate and
+// exports its counters in the caller's registry.
 func TestFacadeOverUDP(t *testing.T) {
-	fs := startCluster(t, 3, swift.Config{StripeUnit: 8 * 1024})
+	for _, rate := range []float64{0, 1} {
+		t.Run(fmt.Sprintf("trace=%g", rate), func(t *testing.T) {
+			reg := obs.NewRegistry()
+			fs := startCluster(t, 3, swift.Config{StripeUnit: 8 * 1024, TraceRate: rate, Obs: reg})
+			if traced := fs.Tracer() != nil; traced != (rate > 0) {
+				t.Fatalf("TraceRate %g: tracer present = %v", rate, traced)
+			}
+			facadeRoundTrip(t, fs)
+			if rate == 0 {
+				return
+			}
+			if len(fs.Traces()) == 0 {
+				t.Fatal("no op trace kept at TraceRate 1")
+			}
+			if !slices.Contains(reg.Names(), "swift_trace_spans_started_total") {
+				t.Fatalf("tracer counters not exported: %v", reg.Names())
+			}
+		})
+	}
+}
 
+func facadeRoundTrip(t *testing.T, fs *swift.FS) {
+	t.Helper()
 	data := make([]byte, 300_000)
 	rand.New(rand.NewSource(1)).Read(data)
 
@@ -229,15 +255,29 @@ func TestFacadeRSDoubleFailureOverUDP(t *testing.T) {
 	}
 }
 
+// TestFacadeShardMismatchRejected: Dial refuses configs that would
+// silently change the layout or never terminate a transfer.
 func TestFacadeShardMismatchRejected(t *testing.T) {
 	host := udpnet.NewHost("127.0.0.1")
-	_, err := swift.Dial(swift.Config{
-		Host:   host,
-		Agents: []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"},
-		// 3 agents cannot be 3 data + 2 parity.
-		DataShards: 3, ParityShards: 2,
-	})
-	if err == nil {
-		t.Fatal("shard/agent mismatch accepted")
+	for _, tc := range []struct {
+		name string
+		cfg  swift.Config
+	}{
+		// 3 agents cannot be 3 data + 2 parity, nor 1 data + 1 parity.
+		{"shard mismatch", swift.Config{DataShards: 3, ParityShards: 2}},
+		{"data shard mismatch", swift.Config{DataShards: 1, ParityShards: 1}},
+		// A negative burst size would never advance a transfer.
+		{"negative RequestBytes", swift.Config{RequestBytes: -1}},
+		{"negative CacheSize", swift.Config{CacheSize: -1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Host = host
+			cfg.Agents = []string{"127.0.0.1:1", "127.0.0.1:2", "127.0.0.1:3"}
+			if fs, err := swift.Dial(cfg); err == nil {
+				fs.Close()
+				t.Fatal("config accepted")
+			}
+		})
 	}
 }
